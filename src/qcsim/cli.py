@@ -21,6 +21,7 @@ import numpy as np
 from .bench import bench_depth_sweep, fidelity_csv, fidelity_sweep, timing_csv
 from .circuit import GATE_APP, Circuit, circuit_from_json, random_circuit
 from .engines import ConfigError, RunConfig, run, run_shots
+from .mps import BondOverflowError
 from .noise import NoiseSpec, channel_from_kind
 from .qasm import ParseError, emit_qasm, parse_qasm
 from .state import PureState
@@ -112,6 +113,8 @@ def _cmd_run(args) -> int:
     circuit = _load_circuit(args.circuit)
     if args.noise_config:
         circuit = _apply_noise_config(circuit, args.noise_config)
+    if args.shots is not None and args.shots < 1:
+        raise SystemExitError(EXIT_CONFIG_ERROR, "--shots must be >= 1")
     try:
         config = RunConfig(
             representation=args.repr,
@@ -149,7 +152,7 @@ def _cmd_run(args) -> int:
                 "shots": args.shots,
                 "counts": dict(sorted(counts.items())),
             }
-    except ConfigError as exc:
+    except (ConfigError, BondOverflowError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
     _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -2,8 +2,8 @@
 
 Three engines share the same contract:
 
-* ``simple`` — combine all qubits up front and apply each gate as a
-  full-register matrix, in instruction order.
+* ``simple`` — combine all qubits up front and contract each gate into
+  the state on its target axes only, in instruction order.
 * ``mps``    — hold the state as a matrix product state, applying gates
   locally and re-splitting entangling gates with a truncated SVD.
 * ``depth``  — schedule instructions into depth layers, keep qubits in
@@ -13,7 +13,9 @@ Three engines share the same contract:
 All engines start from |0...0>, honor classical conditions, collapse on
 measurements (sampling from a PCG64 generator seeded with config.seed),
 and return the same RunResult shape. Noise requires the density
-representation; the MPS engine supports wave functions only.
+representation; the MPS engine supports wave functions only. The simple
+and depth engines carry raw amplitude vectors or density matrices between
+gates and validate only the state they return.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import state as st
-from .circuit import GATE_APP, MEASURE, Circuit, depth, instruction_layers
-from .gates import gate_tensor_on
+from .circuit import MEASURE, Circuit, instruction_layers
 from .mps import MPSState
-from .noise import apply_noisy_gate
+from .noise import apply_gate
 from .state import DensityMatrix, MeasurementRecord, PureState
 
 WAVE = "wave"
@@ -57,6 +58,8 @@ class RunConfig:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
+        if self.mps_max_bond is not None and self.mps_max_bond < 1:
+            raise ConfigError("mps_max_bond must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,32 @@ def _condition_met(instruction, clbits) -> bool:
     return clbits[bit] == value
 
 
+def _zero_array(num_qubits: int, config: RunConfig) -> np.ndarray:
+    """|0...0> as a raw amplitude vector or density matrix."""
+    d = 2**num_qubits
+    state = np.zeros(d if config.representation == WAVE else (d, d), np.complex128)
+    state.flat[0] = 1.0
+    return state
+
+
+def _record(ins, outcome, p0, clbits, records):
+    """Store a measurement outcome in its classical bit and the records."""
+    clbits[ins.classical_bit] = outcome
+    records.append(
+        MeasurementRecord(
+            ins.qubit, ins.classical_bit, outcome, p0 if outcome == 0 else 1 - p0
+        )
+    )
+
+
+def _checked_state(state: np.ndarray):
+    """Wrap a raw engine state in its validated representation."""
+    n = state.shape[0].bit_length() - 1
+    if state.ndim == 1:
+        return PureState(n, state)
+    return DensityMatrix(n, st.hermitize(state))
+
+
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
     """Dispatch to the engine selected by the config."""
     if config.engine == SIMPLE:
@@ -98,38 +127,22 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
 
 def run_simple(circuit: Circuit, config: RunConfig) -> RunResult:
     _check_noise_supported(circuit, config)
-    n = circuit.num_qubits
     rng = np.random.default_rng(config.seed)
     clbits = [0] * circuit.num_clbits
     records = []
-    if config.representation == WAVE:
-        state = PureState.zero(n)
-    else:
-        state = DensityMatrix.zero(n)
+    state = _zero_array(circuit.num_qubits, config)
     for ins in circuit.instructions:
         if ins.kind == MEASURE:
-            outcome, state, p0 = st.measure_qubit(state, ins.qubit, rng.random())
-            clbits[ins.classical_bit] = outcome
-            records.append(
-                MeasurementRecord(
-                    ins.qubit, ins.classical_bit, outcome, p0 if outcome == 0 else 1 - p0
-                )
+            outcome, state, p0 = st.measure_array(state, ins.qubit, rng.random())
+            _record(ins, outcome, p0, clbits, records)
+        elif _condition_met(ins, clbits):
+            state = apply_gate(
+                state, ins.gate, ins.targets, circuit.effective_noise(ins)
             )
-            continue
-        if not _condition_met(ins, clbits):
-            continue
-        noise_spec = circuit.effective_noise(ins)
-        if noise_spec is not None:
-            state = apply_noisy_gate(state, ins.gate, ins.targets, noise_spec)
-        else:
-            u = gate_tensor_on(ins.gate, ins.targets, n)
-            if isinstance(state, PureState):
-                state = PureState(n, u @ state.amplitudes)
-            else:
-                mat = u @ state.matrix @ u.conj().T
-                state = DensityMatrix(n, (mat + mat.conj().T) / 2)
     layers = instruction_layers(circuit)
-    return RunResult(state, tuple(clbits), tuple(records), max(layers, default=0))
+    return RunResult(
+        _checked_state(state), tuple(clbits), tuple(records), max(layers, default=0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +173,7 @@ def run_mps(circuit: Circuit, config: RunConfig) -> RunResult:
                     f"cannot collapse onto outcome {outcome} with probability {p_out}"
                 )
             mps.collapse(ins.qubit, outcome)
-            clbits[ins.classical_bit] = outcome
-            records.append(
-                MeasurementRecord(ins.qubit, ins.classical_bit, outcome, p_out)
-            )
+            _record(ins, outcome, p0, clbits, records)
             continue
         if not _condition_met(ins, clbits):
             continue
@@ -184,34 +194,31 @@ def run_mps(circuit: Circuit, config: RunConfig) -> RunResult:
 
 @dataclass
 class _Group:
-    """An independent block of qubits with its own small state.
+    """An independent block of qubits with its own small raw state.
 
     qubits are kept sorted ascending; qubits[j] occupies local bit j.
     """
 
     qubits: list
-    state: object
+    state: np.ndarray
 
     def local(self, qubit: int) -> int:
         return self.qubits.index(qubit)
 
 
-def _permute_qubits(state, order):
-    """Reorder a state's qubits so old local bit order[j] becomes bit j."""
+def _permute_qubits(state: np.ndarray, order) -> np.ndarray:
+    """Reorder a raw state's qubits so old local bit order[j] becomes bit j."""
     m = len(order)
     # axis m-1-j of the reshaped tensor is local bit j; build the transpose
     # that moves old bit order[j] into position j.
     axes = [m - 1 - order[m - 1 - a] for a in range(m)]
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape([2] * m).transpose(axes)
-        return PureState(m, np.ascontiguousarray(t).reshape(-1))
-    t = state.matrix.reshape([2] * (2 * m))
-    t = t.transpose(axes + [a + m for a in axes])
-    return DensityMatrix(m, np.ascontiguousarray(t).reshape(2**m, 2**m))
+    if state.ndim == 2:
+        axes += [a + m for a in axes]
+    return state.reshape([2] * (m * state.ndim)).transpose(axes).reshape(state.shape)
 
 
 def _merge_groups(a: _Group, b: _Group) -> _Group:
-    combined = st.tensor_product(b.state, a.state)  # a occupies the low bits
+    combined = np.kron(b.state, a.state)  # a occupies the low bits
     qubits = a.qubits + b.qubits  # current local bit order, ascending per block
     target = sorted(qubits)
     order = [qubits.index(q) for q in target]
@@ -224,10 +231,7 @@ def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
     rng = np.random.default_rng(config.seed)
     clbits = [0] * circuit.num_clbits
     records = []
-    if config.representation == WAVE:
-        groups = [_Group([q], PureState.zero(1)) for q in range(n)]
-    else:
-        groups = [_Group([q], DensityMatrix.zero(1)) for q in range(n)]
+    groups = [_Group([q], _zero_array(1, config)) for q in range(n)]
     layers = instruction_layers(circuit)
     total_depth = max(layers, default=0)
     stop = total_depth if config.max_depth is None else min(config.max_depth, total_depth)
@@ -243,16 +247,10 @@ def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
             continue
         if ins.kind == MEASURE:
             g = group_of(ins.qubit)
-            outcome, post, p0 = st.measure_qubit(
+            outcome, g.state, p0 = st.measure_array(
                 g.state, g.local(ins.qubit), rng.random()
             )
-            g.state = post
-            clbits[ins.classical_bit] = outcome
-            records.append(
-                MeasurementRecord(
-                    ins.qubit, ins.classical_bit, outcome, p0 if outcome == 0 else 1 - p0
-                )
-            )
+            _record(ins, outcome, p0, clbits, records)
             continue
         if not _condition_met(ins, clbits):
             continue
@@ -266,22 +264,15 @@ def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
                 groups.append(merged)
                 g = merged
         local_targets = [g.local(q) for q in ins.targets]
-        noise_spec = circuit.effective_noise(ins)
-        if noise_spec is not None:
-            g.state = apply_noisy_gate(g.state, ins.gate, local_targets, noise_spec)
-        else:
-            u = gate_tensor_on(ins.gate, local_targets, len(g.qubits))
-            if isinstance(g.state, PureState):
-                g.state = PureState(len(g.qubits), u @ g.state.amplitudes)
-            else:
-                mat = u @ g.state.matrix @ u.conj().T
-                g.state = DensityMatrix(len(g.qubits), (mat + mat.conj().T) / 2)
+        g.state = apply_gate(
+            g.state, ins.gate, local_targets, circuit.effective_noise(ins)
+        )
     # Combine whatever groups remain and restore global qubit order.
     groups.sort(key=lambda g: g.qubits[0])
     full = groups[0]
     for g in groups[1:]:
         full = _merge_groups(full, g)
-    return RunResult(full.state, tuple(clbits), tuple(records), stop)
+    return RunResult(_checked_state(full.state), tuple(clbits), tuple(records), stop)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Standard gate library: named 1- and 2-qubit unitaries.
+"""Standard gate library: named unitaries and the axis-local kernel applying them.
 
 Two-qubit gate matrices are indexed with the first target as the more
 significant local bit, so ``CX`` with targets (control, target) uses the
@@ -124,13 +124,47 @@ def make_gate(name: str, params=()) -> Gate:
     return Gate(name, arity, params, mat)
 
 
+def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """Contract a 2^k x 2^k operator into `tensor` on the bit axes `axes`.
+
+    Bit axis 0 is the most significant bit of the C-order index; axes[0]
+    carries the operator's most significant local bit. Runs of other bits
+    stay merged, as numpy copies many length-2 axes in tiny inner loops.
+    """
+    shape, where, start = [], {}, 0
+    for a in sorted(axes):
+        shape += [2 ** (a - start), 2]
+        where[a] = len(shape) - 1
+        start = a + 1
+    shape.append(tensor.size // 2**start)
+    local = [where[a] for a in axes]
+    k = len(axes)
+    op = np.reshape(mat, [2] * (2 * k))
+    out = np.tensordot(op, tensor.reshape(shape), (list(range(k, 2 * k)), local))
+    return np.moveaxis(out, list(range(k)), local).reshape(tensor.shape)
+
+
+def apply_on_qubits(state: np.ndarray, mat: np.ndarray, targets) -> np.ndarray:
+    """Apply `mat` on `targets` of a raw state: mat psi, or mat rho mat^+.
+
+    Qubit q is bit axis n-1-q of a 2^n vector, and row axis n-1-q and
+    column axis 2n-1-q of a 2^n x 2^n density matrix.
+    """
+    n = state.shape[0].bit_length() - 1
+    rows = [n - 1 - q for q in targets]
+    state = apply_local(state, mat, rows)
+    if state.ndim == 2:
+        state = apply_local(state, np.conj(mat), [n + a for a in rows])
+    return state
+
+
 def embed_operator(mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     """Embed a 2^k x 2^k operator on `targets` into the full register.
 
     The operator's local index treats targets[0] as the most significant
     local bit. Identity on all other qubits. Works for any (distinct)
     target order and non-adjacent targets; the operator need not be
-    unitary (the noise machinery embeds Kraus operators too).
+    unitary. A test oracle for `apply_on_qubits`.
     """
     targets = list(targets)
     n = num_qubits

@@ -4,14 +4,16 @@ Three named channels are provided, each parametrized by a strength
 ``epsilon`` in [0, 1]:
 
 * dephasing:          rho -> (1-eps) rho + eps Z rho Z
-* depolarizing:       rho -> (1-eps) U rho U^+ + eps I/2   (gate folded in)
+* depolarizing:       rho -> (1-3eps/4) rho + eps/4 (X rho X + Y rho Y + Z rho Z)
+                      = (1-eps) rho + eps (I/2 on the qubit) x (trace over it)
 * amplitude damping:  rho -> A0 rho A0^+ + A1 rho A1^+
 
 Dephasing and amplitude damping act on the target qubit before the gate;
-depolarizing mixes toward the maximally mixed single-qubit marginal after
-the gate. For two-qubit gates the per-slot channels combine as a tensor
-product. Every channel carries an explicit Kraus decomposition satisfying
-sum_k E_k^+ E_k = I.
+depolarizing acts after it. For two-qubit gates the per-slot channels
+combine as a tensor product. Every channel carries an explicit Kraus
+decomposition satisfying sum_k E_k^+ E_k = I, and acts on the qubit's row
+and column axes as one operator, sum_k E_k (x) conj(E_k), through the
+kernel that applies gates (`gates.apply_local`).
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate, embed_operator, gate_tensor_on
-from .state import DensityMatrix, partial_trace
+from .gates import Gate, apply_local, apply_on_qubits
+from .state import DensityMatrix, hermitize
 
 COMPLETENESS_ATOL = 1e-12
 
 DEPHASING = "dephasing"
 DEPOLARIZING = "depolarizing"
 AMPLITUDE_DAMPING = "amplitude_damping"
-CUSTOM = "custom"
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -42,6 +43,7 @@ class NoiseChannel:
     kind: str
     epsilon: float
     kraus_ops: tuple = field(default_factory=tuple)
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -53,6 +55,9 @@ class NoiseChannel:
         if not np.allclose(total, np.eye(2), atol=COMPLETENESS_ATOL, rtol=0):
             raise ValueError("Kraus operators do not satisfy sum E_k^+ E_k = I")
         object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(
+            self, "superoperator", sum(np.kron(op, op.conj()) for op in ops)
+        )
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -152,43 +157,33 @@ class NoiseSpec:
         )
 
 
-def _apply_kraus_full(rho: np.ndarray, ops) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for op in ops:
-        out += op @ rho @ op.conj().T
-    return out
+def apply_gate(state: np.ndarray, gate: Gate, targets, spec: NoiseSpec | None):
+    """`apply_noisy_gate` on a raw state vector or density matrix, unvalidated.
 
-
-def _mix_with_maximally_mixed(rho: DensityMatrix, qubit: int, epsilon: float):
-    """(1-eps) rho + eps * (I/2 on `qubit`) x (marginal of the rest)."""
-    n = rho.num_qubits
-    if n == 1:
-        mixed = np.eye(2, dtype=np.complex128) / 2
-    else:
-        rest = partial_trace(rho, [q for q in range(n) if q != qubit]).matrix
-        # rest carries qubits != qubit in ascending significance; kron puts
-        # the target most significant and the rest descending, then the
-        # axes are permuted back to global qubit order.
-        cur = [qubit] + [q for q in reversed(range(n)) if q != qubit]
-        perm = [cur.index(q) for q in reversed(range(n))]
-        mixed = np.kron(np.eye(2) / 2, _reorder_descending(rest, n, qubit))
-        t = mixed.reshape([2] * (2 * n))
-        t = t.transpose(perm + [p + n for p in perm])
-        mixed = t.reshape(2**n, 2**n)
-    return (1 - epsilon) * rho.matrix + epsilon * mixed
-
-
-def _reorder_descending(rest: np.ndarray, n: int, removed: int) -> np.ndarray:
-    """Reverse the qubit order of a reduced matrix over n-1 qubits.
-
-    partial_trace returns ascending significance; the kron composition in
-    _mix_with_maximally_mixed wants descending.
+    Noise needs a density matrix.
     """
-    m = n - 1
-    t = rest.reshape([2] * (2 * m))
-    perm = list(reversed(range(m)))
-    t = t.transpose(perm + [p + m for p in perm])
-    return t.reshape(2**m, 2**m)
+    if spec is None:
+        return apply_on_qubits(state, gate.matrix, targets)
+    extra = [s for s in spec.per_qubit_channels if s >= gate.arity]
+    if extra:
+        raise ValueError(
+            f"noise slots {extra} invalid for arity-{gate.arity} gate {gate.name}"
+        )
+    channels = sorted(spec.per_qubit_channels.items())
+    for slot, ch in channels:
+        if ch.kind != DEPOLARIZING:
+            state = _apply_channel(state, ch, targets[slot])
+    state = apply_on_qubits(state, gate.matrix, targets)
+    for slot, ch in channels:
+        if ch.kind == DEPOLARIZING:
+            state = _apply_channel(state, ch, targets[slot])
+    return state
+
+
+def _apply_channel(rho: np.ndarray, channel: NoiseChannel, qubit: int) -> np.ndarray:
+    """sum_k E_k rho E_k^+ on `qubit`, summed over k inside one contraction."""
+    n = rho.shape[0].bit_length() - 1
+    return apply_local(rho, channel.superoperator, [n - 1 - qubit, 2 * n - 1 - qubit])
 
 
 def apply_noisy_gate(
@@ -196,55 +191,13 @@ def apply_noisy_gate(
 ) -> DensityMatrix:
     """Apply `gate` on `targets` with per-slot noise channels.
 
-    Kraus-style channels (dephasing, amplitude damping, custom) act on
-    their qubit before the unitary; depolarizing slots mix toward I/2 on
-    their qubit after it. spec=None means a noiseless gate.
+    Dephasing and amplitude damping act on their qubit before the unitary;
+    depolarizing slots act on their qubit after it. spec=None means a
+    noiseless gate.
     """
     targets = list(targets)
     n = rho.num_qubits
-    if spec is not None:
-        extra = [s for s in spec.per_qubit_channels if s >= gate.arity]
-        if extra:
-            raise ValueError(
-                f"noise slots {extra} invalid for arity-{gate.arity} gate {gate.name}"
-            )
-    mat = rho.matrix
-    if spec is not None:
-        pre = {
-            s: ch
-            for s, ch in spec.per_qubit_channels.items()
-            if ch.kind != DEPOLARIZING
-        }
-        if pre:
-            # Tensor-product channel over the gate's target qubits: embed
-            # every Kraus product, identity on slots without a channel.
-            eye = (np.eye(2, dtype=np.complex128),)
-            slot_ops = [
-                pre[s].kraus_ops if s in pre else eye for s in range(gate.arity)
-            ]
-            full_ops = []
-            if gate.arity == 1:
-                full_ops = [
-                    embed_operator(op, targets, n) for op in slot_ops[0]
-                ]
-            else:
-                for op0 in slot_ops[0]:
-                    for op1 in slot_ops[1]:
-                        full_ops.append(
-                            embed_operator(np.kron(op0, op1), targets, n)
-                        )
-            mat = _apply_kraus_full(mat, full_ops)
-    u = gate_tensor_on(gate, targets, n)
-    mat = u @ mat @ u.conj().T
-    result = DensityMatrix(n, _hermitize(mat))
-    if spec is not None:
-        for slot, ch in sorted(spec.per_qubit_channels.items()):
-            if ch.kind == DEPOLARIZING:
-                mixed = _mix_with_maximally_mixed(result, targets[slot], ch.epsilon)
-                result = DensityMatrix(n, _hermitize(mixed))
-    return result
-
-
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    # Scrub roundoff so the DensityMatrix invariants see a clean matrix.
-    return (mat + mat.conj().T) / 2
+    if len(targets) != gate.arity or len(set(targets) & set(range(n))) != gate.arity:
+        raise ValueError(f"gate {gate.name}: bad targets {targets} for {n} qubits")
+    mat = apply_gate(rho.matrix, gate, targets, spec)
+    return DensityMatrix(n, hermitize(mat))

@@ -191,13 +191,20 @@ def measure_qubit(state, qubit: int, rng_sample: float):
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    mask0 = _projector_diag(n, qubit, 0)
-    if isinstance(state, PureState):
-        p0 = float(np.sum(np.abs(state.amplitudes[mask0]) ** 2))
-    elif isinstance(state, DensityMatrix):
-        p0 = float(np.real(np.sum(np.diag(state.matrix)[mask0])))
-    else:
+    if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    raw = state.amplitudes if isinstance(state, PureState) else state.matrix
+    outcome, post, p0 = measure_array(raw, qubit, rng_sample)
+    return outcome, type(state)(n, post), p0
+
+
+def measure_array(state: np.ndarray, qubit: int, rng_sample: float):
+    """`measure_qubit` on a raw state vector or density matrix, unvalidated."""
+    mask0 = _projector_diag(state.shape[0].bit_length() - 1, qubit, 0)
+    if state.ndim == 1:
+        p0 = float(np.sum(np.abs(state[mask0]) ** 2))
+    else:
+        p0 = float(np.real(np.sum(np.diag(state)[mask0])))
     p0 = min(max(p0, 0.0), 1.0)
     outcome = 0 if rng_sample < p0 else 1
     p_out = p0 if outcome == 0 else 1.0 - p0
@@ -206,14 +213,16 @@ def measure_qubit(state, qubit: int, rng_sample: float):
             f"cannot collapse onto outcome {outcome} with probability {p_out}"
         )
     mask = mask0 if outcome == 0 else ~mask0
-    if isinstance(state, PureState):
-        amps = np.where(mask, state.amplitudes, 0.0)
-        post = PureState(n, amps / np.linalg.norm(amps))
-    else:
-        mat = np.where(np.outer(mask, mask), state.matrix, 0.0)
-        mat = mat / np.real(np.trace(mat))
-        post = DensityMatrix(n, mat)
-    return outcome, post, p0
+    if state.ndim == 1:
+        amps = np.where(mask, state, 0.0)
+        return outcome, amps / np.linalg.norm(amps), p0
+    mat = np.where(np.outer(mask, mask), state, 0.0)
+    return outcome, mat / np.real(np.trace(mat)), p0
+
+
+def hermitize(mat: np.ndarray) -> np.ndarray:
+    """Scrub roundoff so the DensityMatrix invariants see a clean matrix."""
+    return (mat + mat.conj().T) / 2
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -66,6 +66,21 @@ class TestRun:
         code = main(["run", bell_path, "--repr", "wave", "--noise-config", str(noise_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_bad_shots_exits_2(self, bell_path, shots, capsys):
+        assert main(["run", bell_path, "--shots", shots]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bond_overflow_exits_2(self, bell_path, capsys):
+        assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bond dimension") and err.count("\n") == 1
+
+    def test_nonpositive_bond_cap_exits_2(self, bell_path, capsys):
+        assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "0"]) == 2
+        assert capsys.readouterr().err == "error: mps_max_bond must be >= 1\n"
+
     def test_noise_config_with_overrides(self, bell_path, tmp_path, capsys):
         noise_path = tmp_path / "noise.json"
         noise_path.write_text(json.dumps({

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcsim.gates import GATE_SIGNATURES, gate_tensor_on, make_gate
+from qcsim.gates import GATE_SIGNATURES, apply_on_qubits, gate_tensor_on, make_gate
 
 
 def test_hadamard_matrix():
@@ -107,3 +107,43 @@ class TestGateTensorOn:
             gate_tensor_on(make_gate("X"), [3], 2)
         with pytest.raises(ValueError):
             gate_tensor_on(make_gate("CX"), [0], 2)
+
+
+def _target_lists(arity, num_qubits):
+    if arity == 1:
+        return [[q] for q in range(num_qubits)]
+    # every ordered pair: adjacent, non-adjacent and reversed, e.g. [2, 0]
+    return [[a, b] for a in range(num_qubits) for b in range(num_qubits) if a != b]
+
+
+def _random_gates(rng):
+    for name, (arity, nparams) in GATE_SIGNATURES.items():
+        yield make_gate(name, rng.uniform(0, 2 * np.pi, size=nparams))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+def test_kernel_matches_full_register_oracle_on_wave_states(num_qubits):
+    rng = np.random.default_rng(10 + num_qubits)
+    d = 2**num_qubits
+    for gate in _random_gates(rng):
+        if gate.arity > num_qubits:
+            continue
+        for targets in _target_lists(gate.arity, num_qubits):
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            out = apply_on_qubits(psi, gate.matrix, targets)
+            expected = gate_tensor_on(gate, targets, num_qubits) @ psi
+            assert np.abs(out - expected).max() < 1e-12, (gate.name, targets)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+def test_kernel_matches_u_rho_u_dagger_on_density_matrices(num_qubits):
+    rng = np.random.default_rng(20 + num_qubits)
+    d = 2**num_qubits
+    for gate in _random_gates(rng):
+        if gate.arity > num_qubits:
+            continue
+        for targets in _target_lists(gate.arity, num_qubits):
+            rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            out = apply_on_qubits(rho, gate.matrix, targets)
+            u = gate_tensor_on(gate, targets, num_qubits)
+            assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12, (gate.name, targets)

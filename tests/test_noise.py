@@ -115,6 +115,39 @@ class TestDepolarizing:
         assert np.abs(kept.matrix - kept_after.matrix).max() < 1e-10
 
 
+def maximally_mixed_on(rho, qubit, num_qubits):
+    """(I/2 on `qubit`) x (trace of rho over `qubit`), by index arithmetic."""
+    n = num_qubits
+    row, col = n - 1 - qubit, 2 * n - 1 - qubit
+    traced = np.trace(rho.reshape([2] * (2 * n)), axis1=row, axis2=col)
+    out = np.multiply.outer(traced, np.eye(2) / 2)
+    return np.moveaxis(out, [2 * n - 2, 2 * n - 1], [row, col]).reshape(rho.shape)
+
+
+class TestDepolarizingOnLargerStates:
+    @pytest.mark.parametrize("num_qubits", [3, 4])
+    def test_every_qubit_matches_brute_force_oracle(self, num_qubits):
+        rng = np.random.default_rng(40 + num_qubits)
+        paulis = [np.array(p, dtype=complex) for p in
+                  ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+        h = make_gate("H")
+        for qubit in range(num_qubits):
+            rho = random_density(num_qubits, rng)
+            eps = rng.uniform(0.05, 0.95)
+            out = apply_noisy_gate(rho, h, [qubit], NoiseSpec({0: depolarizing(eps)}))
+            u = gate_tensor_on(h, [qubit], num_qubits)
+            after_gate = u @ rho.matrix @ u.conj().T
+            pauli_mixture = (1 - 3 * eps / 4) * after_gate + eps / 4 * sum(
+                p @ after_gate @ p.conj().T
+                for p in (embed_operator(m, [qubit], num_qubits) for m in paulis)
+            )
+            affine = (1 - eps) * after_gate + eps * maximally_mixed_on(
+                after_gate, qubit, num_qubits
+            )
+            assert np.abs(pauli_mixture - affine).max() < 1e-12
+            assert np.abs(out.matrix - pauli_mixture).max() < 1e-12
+
+
 class TestAmplitudeDamping:
     def test_ground_state_fixed(self):
         rho = DensityMatrix.zero(1)
@@ -156,17 +189,22 @@ class TestApplyNoisyGate:
 
     def test_two_qubit_tensor_product_matches_kron_oracle(self):
         rng = np.random.default_rng(7)
-        rho = random_density(2, rng)
         cx = make_gate("CX")
-        spec = NoiseSpec({0: dephasing(0.2), 1: dephasing(0.3)})
-        out = apply_noisy_gate(rho, cx, [0, 1], spec)
-        u = gate_tensor_on(cx, [0, 1], 2)
-        expected = np.zeros((4, 4), dtype=complex)
-        for e0 in spec.per_qubit_channels[0].kraus_ops:
-            for e1 in spec.per_qubit_channels[1].kraus_ops:
-                k = u @ embed_operator(np.kron(e0, e1), [0, 1], 2)
-                expected += k @ rho.matrix @ k.conj().T
-        assert np.abs(out.matrix - expected).max() < 1e-11
+        # adjacent, reversed non-adjacent and non-adjacent targets; the last
+        # two mix dephasing on slot 0 with amplitude damping on slot 1
+        cases = [(2, [0, 1], dephasing(0.3)), (4, [3, 1], amplitude_damping(0.4)),
+                 (3, [0, 2], amplitude_damping(0.7))]
+        for num_qubits, targets, slot1 in cases:
+            rho = random_density(num_qubits, rng)
+            spec = NoiseSpec({0: dephasing(0.2), 1: slot1})
+            out = apply_noisy_gate(rho, cx, targets, spec)
+            u = gate_tensor_on(cx, targets, num_qubits)
+            expected = np.zeros_like(rho.matrix)
+            for e0 in spec.per_qubit_channels[0].kraus_ops:
+                for e1 in spec.per_qubit_channels[1].kraus_ops:
+                    k = u @ embed_operator(np.kron(e0, e1), targets, num_qubits)
+                    expected += k @ rho.matrix @ k.conj().T
+            assert np.abs(out.matrix - expected).max() < 1e-11
 
     def test_slot_arity_mismatch_rejected(self):
         rho = DensityMatrix.zero(1)
@@ -175,6 +213,11 @@ class TestApplyNoisyGate:
                 rho, make_gate("X"), [0],
                 NoiseSpec({0: dephasing(0.1), 1: dephasing(0.1)}),
             )
+
+    @pytest.mark.parametrize("targets", [[0], [0, 0], [0, 2], [0, 1, 2]])
+    def test_bad_targets_rejected(self, targets):
+        with pytest.raises(ValueError):
+            apply_noisy_gate(DensityMatrix.zero(2), make_gate("CX"), targets, None)
 
     def test_trace_preserved_and_psd(self):
         rng = np.random.default_rng(8)

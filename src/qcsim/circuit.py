@@ -178,20 +178,24 @@ def random_circuit(num_qubits: int, target_depth: int, seed: int) -> Circuit:
     rng = np.random.default_rng(seed)
     instructions = []
     cx = make_gate("CX")
+    qubit_layer = [0] * num_qubits  # as instruction_layers schedules them
     layer_index = 0
     entangling_shift = 0
-    while True:
-        circuit = Circuit(num_qubits, 0, instructions)
-        if depth(circuit) >= target_depth:
-            return circuit
+    while max(qubit_layer) < target_depth:
         if layer_index % 2 == 0:
             for q in range(num_qubits):
                 instructions.append(gate_app(_random_1q_gate(rng), (q,)))
+                qubit_layer[q] += 1
         else:
+            # With 2 qubits the shifted ladder is empty and adds no depth.
             for a in range(entangling_shift, num_qubits - 1, 2):
                 instructions.append(gate_app(cx, (a, a + 1)))
+                qubit_layer[a] = qubit_layer[a + 1] = (
+                    max(qubit_layer[a], qubit_layer[a + 1]) + 1
+                )
             entangling_shift = 1 - entangling_shift
         layer_index += 1
+    return Circuit(num_qubits, 0, instructions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
-"""Circuit execution engines.
+"""Circuit execution: one instruction loop over two backends.
 
-Three engines share the same contract:
+`run` starts every circuit from |0...0>, executes its instructions in
+order, skips gates whose classical condition does not hold, and collapses
+on measurements, sampling each from a PCG64 generator seeded with
+config.seed. Instructions scheduled past ``max_depth`` layers are not
+executed. Every engine returns the same RunResult shape. Noise requires
+the density representation.
 
-* ``simple`` — combine all qubits up front and contract each gate into
-  the state on its target axes only, in instruction order.
-* ``mps``    — hold the state as a matrix product state, applying gates
-  locally and re-splitting entangling gates with a truncated SVD.
-* ``depth``  — schedule instructions into depth layers, keep qubits in
-  independent groups and merge them only when a two-qubit gate spans
-  groups; can stop after a configurable number of layers.
+The engine selects the backend the loop drives:
 
-All engines start from |0...0>, honor classical conditions, collapse on
-measurements (sampling from a PCG64 generator seeded with config.seed),
-and return the same RunResult shape. Noise requires the density
-representation; the MPS engine supports wave functions only. The simple
-and depth engines carry raw amplitude vectors or density matrices between
-gates and validate only the state they return.
+* ``simple`` — the dense backend (`DenseGroups`) started from one group of
+  all qubits: each gate, and each Kraus channel, is contracted into the
+  state on its target axes only.
+* ``depth``  — the same dense backend started from one group per qubit:
+  unentangled qubits stay in independent groups, merged only when a
+  two-qubit gate spans two groups.
+* ``mps``    — a matrix product state (`MPSState`), applying gates locally
+  and re-splitting entangling gates with a truncated SVD; wave functions
+  only.
+
+A backend provides ``apply(gate, targets, noise)``, ``prob_zero(qubit)``,
+``collapse(qubit, outcome)`` and ``export()``, which returns the validated
+final state.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class RunConfig:
             raise ConfigError("max_depth must be >= 1")
         if self.mps_max_bond is not None and self.mps_max_bond < 1:
             raise ConfigError("mps_max_bond must be >= 1")
+        if self.engine == MPS and self.representation == DENSITY:
+            raise ConfigError("the MPS engine supports the wave representation only")
 
 
 @dataclass(frozen=True)
@@ -70,125 +78,72 @@ class RunResult:
     layers_executed: int
 
 
-def _check_noise_supported(circuit: Circuit, config: RunConfig):
+def _zero_array(num_qubits: int, representation: str) -> np.ndarray:
+    """|0...0> as a raw amplitude vector or density matrix."""
+    d = 2**num_qubits
+    state = np.zeros(d if representation == WAVE else (d, d), np.complex128)
+    state.flat[0] = 1.0
+    return state
+
+
+def run(circuit: Circuit, config: RunConfig) -> RunResult:
+    """Execute the circuit on the backend that the config's engine selects.
+
+    Instructions run in order, except those scheduled past the depth
+    cut-off; each measurement draws one sample from the run's generator.
+    """
     if circuit.has_noise() and config.representation != DENSITY:
         raise ConfigError(
             "noisy circuits require the density representation; "
             "wave-function mode cannot represent mixed states"
         )
-
-
-def _condition_met(instruction, clbits) -> bool:
-    if instruction.condition is None:
-        return True
-    bit, value = instruction.condition
-    return clbits[bit] == value
-
-
-def _zero_array(num_qubits: int, config: RunConfig) -> np.ndarray:
-    """|0...0> as a raw amplitude vector or density matrix."""
-    d = 2**num_qubits
-    state = np.zeros(d if config.representation == WAVE else (d, d), np.complex128)
-    state.flat[0] = 1.0
-    return state
-
-
-def _record(ins, outcome, p0, clbits, records):
-    """Store a measurement outcome in its classical bit and the records."""
-    clbits[ins.classical_bit] = outcome
-    records.append(
-        MeasurementRecord(
-            ins.qubit, ins.classical_bit, outcome, p0 if outcome == 0 else 1 - p0
-        )
-    )
-
-
-def _checked_state(state: np.ndarray):
-    """Wrap a raw engine state in its validated representation."""
-    n = state.shape[0].bit_length() - 1
-    if state.ndim == 1:
-        return PureState(n, state)
-    return DensityMatrix(n, st.hermitize(state))
-
-
-def run(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Dispatch to the engine selected by the config."""
-    if config.engine == SIMPLE:
-        return run_simple(circuit, config)
+    n = circuit.num_qubits
     if config.engine == MPS:
-        return run_mps(circuit, config)
-    return run_depth(circuit, config)
-
-
-# ---------------------------------------------------------------------------
-# simple engine
-# ---------------------------------------------------------------------------
+        backend = MPSState(
+            n,
+            max_bond=config.mps_max_bond,
+            truncation_threshold=config.mps_truncation_threshold,
+        )
+    elif config.engine == DEPTH:
+        backend = DenseGroups([[q] for q in range(n)], config.representation)
+    else:
+        backend = DenseGroups([list(range(n))], config.representation)
+    rng = np.random.default_rng(config.seed)
+    clbits = [0] * circuit.num_clbits
+    records = []
+    layers = instruction_layers(circuit)
+    stop = max(layers, default=0)
+    if config.max_depth is not None:
+        stop = min(config.max_depth, stop)
+    for ins, layer in zip(circuit.instructions, layers):
+        if layer > stop:
+            continue
+        if ins.kind == MEASURE:
+            q, bit = ins.qubit, ins.classical_bit
+            outcome, p0 = st.sample_outcome(backend.prob_zero(q), rng.random())
+            backend.collapse(q, outcome)
+            clbits[bit] = outcome
+            p_out = p0 if outcome == 0 else 1 - p0
+            records.append(MeasurementRecord(q, bit, outcome, p_out))
+        elif ins.condition is None or clbits[ins.condition[0]] == ins.condition[1]:
+            backend.apply(ins.gate, ins.targets, circuit.effective_noise(ins))
+    return RunResult(backend.export(), tuple(clbits), tuple(records), stop)
 
 
 def run_simple(circuit: Circuit, config: RunConfig) -> RunResult:
-    _check_noise_supported(circuit, config)
-    rng = np.random.default_rng(config.seed)
-    clbits = [0] * circuit.num_clbits
-    records = []
-    state = _zero_array(circuit.num_qubits, config)
-    for ins in circuit.instructions:
-        if ins.kind == MEASURE:
-            outcome, state, p0 = st.measure_array(state, ins.qubit, rng.random())
-            _record(ins, outcome, p0, clbits, records)
-        elif _condition_met(ins, clbits):
-            state = apply_gate(
-                state, ins.gate, ins.targets, circuit.effective_noise(ins)
-            )
-    layers = instruction_layers(circuit)
-    return RunResult(
-        _checked_state(state), tuple(clbits), tuple(records), max(layers, default=0)
-    )
-
-
-# ---------------------------------------------------------------------------
-# MPS engine
-# ---------------------------------------------------------------------------
+    return run(circuit, replace(config, engine=SIMPLE))
 
 
 def run_mps(circuit: Circuit, config: RunConfig) -> RunResult:
-    if config.representation == DENSITY:
-        raise ConfigError("the MPS engine supports the wave representation only")
-    _check_noise_supported(circuit, config)
-    n = circuit.num_qubits
-    rng = np.random.default_rng(config.seed)
-    clbits = [0] * circuit.num_clbits
-    records = []
-    mps = MPSState(
-        n,
-        max_bond=config.mps_max_bond,
-        truncation_threshold=config.mps_truncation_threshold,
-    )
-    for ins in circuit.instructions:
-        if ins.kind == MEASURE:
-            p0 = min(max(mps.prob_zero(ins.qubit), 0.0), 1.0)
-            outcome = 0 if rng.random() < p0 else 1
-            p_out = p0 if outcome == 0 else 1.0 - p0
-            if p_out < st.ZERO_PROB_ATOL:
-                raise ValueError(
-                    f"cannot collapse onto outcome {outcome} with probability {p_out}"
-                )
-            mps.collapse(ins.qubit, outcome)
-            _record(ins, outcome, p0, clbits, records)
-            continue
-        if not _condition_met(ins, clbits):
-            continue
-        if ins.gate.arity == 1:
-            mps.apply_1q(ins.gate.matrix, ins.targets[0])
-        else:
-            mps.apply_2q(ins.gate.matrix, ins.targets[0], ins.targets[1])
-    layers = instruction_layers(circuit)
-    return RunResult(
-        mps.to_pure_state(), tuple(clbits), tuple(records), max(layers, default=0)
-    )
+    return run(circuit, replace(config, engine=MPS))
+
+
+def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
+    return run(circuit, replace(config, engine=DEPTH))
 
 
 # ---------------------------------------------------------------------------
-# depth-controlled engine
+# dense backend
 # ---------------------------------------------------------------------------
 
 
@@ -225,54 +180,50 @@ def _merge_groups(a: _Group, b: _Group) -> _Group:
     return _Group(target, _permute_qubits(combined, order))
 
 
-def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
-    _check_noise_supported(circuit, config)
-    n = circuit.num_qubits
-    rng = np.random.default_rng(config.seed)
-    clbits = [0] * circuit.num_clbits
-    records = []
-    groups = [_Group([q], _zero_array(1, config)) for q in range(n)]
-    layers = instruction_layers(circuit)
-    total_depth = max(layers, default=0)
-    stop = total_depth if config.max_depth is None else min(config.max_depth, total_depth)
+class DenseGroups:
+    """Dense backend: raw state vectors or density matrices over qubit groups.
 
-    def group_of(qubit):
-        for g in groups:
-            if qubit in g.qubits:
-                return g
-        raise AssertionError(f"qubit {qubit} not in any group")
+    Each group holds the state of its qubits, unentangled with the other
+    groups; a two-qubit gate that spans two groups merges them first.
+    Started from one group per qubit (the depth engine), unentangled qubits
+    stay factored; started from one group of all qubits (the simple engine),
+    every gate is contracted into the full state. States are carried
+    unvalidated and checked once, by `export`.
+    """
 
-    for ins, layer in zip(circuit.instructions, layers):
-        if layer > stop:
-            continue
-        if ins.kind == MEASURE:
-            g = group_of(ins.qubit)
-            outcome, g.state, p0 = st.measure_array(
-                g.state, g.local(ins.qubit), rng.random()
-            )
-            _record(ins, outcome, p0, clbits, records)
-            continue
-        if not _condition_met(ins, clbits):
-            continue
-        g = group_of(ins.targets[0])
-        if ins.gate.arity == 2:
-            g2 = group_of(ins.targets[1])
-            if g2 is not g:
-                merged = _merge_groups(g, g2)
-                groups.remove(g)
-                groups.remove(g2)
-                groups.append(merged)
-                g = merged
-        local_targets = [g.local(q) for q in ins.targets]
-        g.state = apply_gate(
-            g.state, ins.gate, local_targets, circuit.effective_noise(ins)
-        )
-    # Combine whatever groups remain and restore global qubit order.
-    groups.sort(key=lambda g: g.qubits[0])
-    full = groups[0]
-    for g in groups[1:]:
-        full = _merge_groups(full, g)
-    return RunResult(_checked_state(full.state), tuple(clbits), tuple(records), stop)
+    def __init__(self, blocks, representation: str):
+        self.owner = [None] * sum(map(len, blocks))  # owner[q]: the group of q
+        for qubits in blocks:
+            g = _Group(qubits, _zero_array(len(qubits), representation))
+            for q in qubits:
+                self.owner[q] = g
+
+    def apply(self, gate, targets, noise):
+        g = self.owner[targets[0]]
+        if gate.arity == 2 and self.owner[targets[1]] is not g:
+            g = _merge_groups(g, self.owner[targets[1]])
+            for q in g.qubits:
+                self.owner[q] = g
+        g.state = apply_gate(g.state, gate, [g.local(q) for q in targets], noise)
+
+    def prob_zero(self, qubit: int) -> float:
+        g = self.owner[qubit]
+        return st.prob_zero(g.state, g.local(qubit))
+
+    def collapse(self, qubit: int, outcome: int):
+        g = self.owner[qubit]
+        g.state = st.collapse(g.state, g.local(qubit), outcome)
+
+    def export(self):
+        """Merge the groups, in order of their lowest qubit, into one validated state."""
+        full = self.owner[0]
+        for q, g in enumerate(self.owner):
+            if q > 0 and g.qubits[0] == q:
+                full = _merge_groups(full, g)
+        n = len(full.qubits)
+        if full.state.ndim == 1:
+            return PureState(n, full.state)
+        return DensityMatrix(n, st.hermitize(full.state))
 
 
 # ---------------------------------------------------------------------------

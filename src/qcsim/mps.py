@@ -42,6 +42,15 @@ class MPSState:
             "ps,asb->apb", matrix, self.tensors[site]
         )
 
+    def apply(self, gate, targets, noise=None):
+        """Apply a 1- or 2-qubit gate; an MPS holds pure states, so no noise."""
+        if noise is not None:
+            raise ValueError("an MPS holds pure states and cannot apply noise")
+        if gate.arity == 1:
+            self.apply_1q(gate.matrix, targets[0])
+        else:
+            self.apply_2q(gate.matrix, targets[0], targets[1])
+
     def apply_2q(self, matrix, q0, q1):
         """Apply a 4x4 gate whose local index has q0 as the more significant bit."""
         lo, hi = min(q0, q1), max(q0, q1)
@@ -107,6 +116,9 @@ class MPSState:
         self.apply_1q(proj, qubit)
         norm = np.sqrt(self.norm_squared())
         self.tensors[qubit] = self.tensors[qubit] / norm
+
+    def export(self):
+        return self.to_pure_state()
 
     def to_pure_state(self):
         """Contract the chain into a full state vector."""

@@ -194,17 +194,17 @@ def measure_qubit(state, qubit: int, rng_sample: float):
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     raw = state.amplitudes if isinstance(state, PureState) else state.matrix
-    outcome, post, p0 = measure_array(raw, qubit, rng_sample)
-    return outcome, type(state)(n, post), p0
+    outcome, p0 = sample_outcome(prob_zero(raw, qubit), rng_sample)
+    return outcome, type(state)(n, collapse(raw, qubit, outcome)), p0
 
 
-def measure_array(state: np.ndarray, qubit: int, rng_sample: float):
-    """`measure_qubit` on a raw state vector or density matrix, unvalidated."""
-    mask0 = _projector_diag(state.shape[0].bit_length() - 1, qubit, 0)
-    if state.ndim == 1:
-        p0 = float(np.sum(np.abs(state[mask0]) ** 2))
-    else:
-        p0 = float(np.real(np.sum(np.diag(state)[mask0])))
+def sample_outcome(p0: float, rng_sample: float):
+    """Born-rule draw of a measurement outcome from the probability of 0.
+
+    p0 is clamped to [0, 1] against roundoff and outcome 0 is picked when
+    rng_sample < p0. An outcome less likely than ZERO_PROB_ATOL is refused,
+    because its post state cannot be renormalized. Returns (outcome, p0).
+    """
     p0 = min(max(p0, 0.0), 1.0)
     outcome = 0 if rng_sample < p0 else 1
     p_out = p0 if outcome == 0 else 1.0 - p0
@@ -212,12 +212,25 @@ def measure_array(state: np.ndarray, qubit: int, rng_sample: float):
         raise ValueError(
             f"cannot collapse onto outcome {outcome} with probability {p_out}"
         )
-    mask = mask0 if outcome == 0 else ~mask0
+    return outcome, p0
+
+
+def prob_zero(state: np.ndarray, qubit: int) -> float:
+    """Probability that `qubit` reads 0 in a raw state vector or density matrix."""
+    mask0 = _projector_diag(state.shape[0].bit_length() - 1, qubit, 0)
+    if state.ndim == 1:
+        return float(np.sum(np.abs(state[mask0]) ** 2))
+    return float(np.real(np.sum(np.diag(state)[mask0])))
+
+
+def collapse(state: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
+    """Project a raw state onto `qubit` = outcome and renormalize, unvalidated."""
+    mask = _projector_diag(state.shape[0].bit_length() - 1, qubit, outcome)
     if state.ndim == 1:
         amps = np.where(mask, state, 0.0)
-        return outcome, amps / np.linalg.norm(amps), p0
+        return amps / np.linalg.norm(amps)
     mat = np.where(np.outer(mask, mask), state, 0.0)
-    return outcome, mat / np.real(np.trace(mat)), p0
+    return mat / np.real(np.trace(mat))
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:

@@ -83,8 +83,9 @@ class TestRandomCircuit:
             assert x.targets == y.targets
 
     def test_reaches_requested_depth(self):
-        c = random_circuit(5, 15, 3)
-        assert depth(c) >= 15
+        for n in range(2, 7):
+            for d in range(1, 26):
+                assert depth(random_circuit(n, d, 3)) >= d
 
     def test_two_qubit_layers_alternate_pairings(self):
         c = random_circuit(5, 15, 3)

@@ -81,6 +81,11 @@ class TestRun:
         assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "0"]) == 2
         assert capsys.readouterr().err == "error: mps_max_bond must be >= 1\n"
 
+    def test_mps_with_density_exits_2(self, bell_path, capsys):
+        assert main(["run", bell_path, "--engine", "mps", "--repr", "density"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the MPS engine supports the wave representation only\n"
+
     def test_noise_config_with_overrides(self, bell_path, tmp_path, capsys):
         noise_path = tmp_path / "noise.json"
         noise_path.write_text(json.dumps({

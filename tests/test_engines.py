@@ -140,15 +140,16 @@ class TestDepthEngine:
     def test_early_stop_matches_prefix_oracle(self):
         c = random_circuit(8, 12, 33)
         stop = 7
-        result = run_depth(c, RunConfig(engine="depth", max_depth=stop))
         layers = instruction_layers(c)
         prefix = Circuit(
             c.num_qubits, c.num_clbits,
             [ins for ins, layer in zip(c.instructions, layers) if layer <= stop],
         )
         simple = run_simple(prefix, RunConfig())
-        assert result.layers_executed == stop
-        assert 1 - state_fidelity(result.final_state, simple.final_state) < 1e-10
+        for engine in ("simple", "mps", "depth"):
+            result = run(c, RunConfig(engine=engine, max_depth=stop))
+            assert result.layers_executed == stop
+            assert 1 - state_fidelity(result.final_state, simple.final_state) < 1e-10
 
     def test_density_mode_with_noise(self):
         c = bell_circuit().with_global_noise(NoiseSpec.uniform("dephasing", 0.2, 2))

@@ -245,12 +245,15 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 def circuit_from_json(text: str) -> Circuit:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("circuit JSON must be an object")
+    instructions = doc.get("instructions", [])
+    if not isinstance(instructions, list):
+        raise ValueError("instructions must be a list")
     return Circuit(
         num_qubits=doc["num_qubits"],
         num_clbits=doc.get("num_clbits", 0),
-        instructions=tuple(
-            _instruction_from_dict(e) for e in doc.get("instructions", [])
-        ),
+        instructions=tuple(_instruction_from_dict(e) for e in instructions),
         global_noise=(
             NoiseSpec.from_dict(doc["global_noise"]) if "global_noise" in doc else None
         ),

@@ -34,12 +34,12 @@ def _load_circuit(path: str) -> Circuit:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot read {path}: {exc}")
     if path.endswith(".json"):
         try:
             return circuit_from_json(text)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise SystemExitError(EXIT_INPUT_ERROR, f"{path}: {exc}")
     try:
         return parse_qasm(text)
@@ -58,9 +58,11 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot read noise config: {exc}")
     try:
+        if not isinstance(doc, dict):
+            raise ValueError("the top level must be a JSON object")
         if "global" in doc:
             entry = doc["global"]
             circuit = circuit.with_global_noise(
@@ -88,23 +90,70 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
                 )
             circuit = circuit.with_instructions(instructions)
         return circuit
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, f"invalid noise config: {exc}")
 
 
-def _complex_pairs(array: np.ndarray):
-    if array.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in array]
-    return [_complex_pairs(row) for row in array]
+# Amplitudes (or matrix entries) per block of the state's JSON text: the
+# output is written block by block, never held whole in memory.
+_BLOCK_ENTRIES = 1 << 10
+_STATE_MARK = "@state@"
 
 
-def _write_output(text: str, out_path):
+def _state_blocks(array: np.ndarray, indent: int):
+    """Yield the JSON text of a complex array as nested [re, im] pairs.
+
+    The text is what json.dumps(..., indent=2) writes for the array as a
+    value on a line indented by `indent` spaces. Each block is encoded
+    compactly by the C encoder, which writes floats with the same repr as
+    the indenting encoder, and re-indented by replacing its separators,
+    those that close and open the most lists first.
+    """
+    depth = array.ndim + 1  # list levels down to the floats
+    pad = ["\n" + " " * (indent + 2 * level) for level in range(depth + 1)]
+    separators = []
+    for k in range(depth - 1, -1, -1):
+        closes = "".join(pad[lv] + "]" for lv in range(depth - 1, depth - 1 - k, -1))
+        opens = "".join(pad[lv] + "[" for lv in range(depth - k, depth))
+        separators.append(("]" * k + ", " + "[" * k, closes + "," + opens + pad[depth]))
+    head = "".join(pad[lv] + "[" for lv in range(1, depth)) + pad[depth]
+    tail = "".join(pad[lv] + "]" for lv in range(depth - 1, 0, -1))
+    step = max(1, _BLOCK_ENTRIES * len(array) // array.size)
+    yield "["
+    for start in range(0, len(array), step):
+        block = array[start:start + step]
+        text = json.dumps(np.stack([block.real, block.imag], -1).tolist())[depth:-depth]
+        for old, new in separators:
+            text = text.replace(old, new)
+        yield ("," if start else "") + head + text + tail
+    yield pad[0] + "]"
+
+
+def _report_text(report: dict, state: np.ndarray | None = None):
+    """Yield json.dumps(report, indent=2, sort_keys=True) + "\n" in pieces.
+
+    A `state` array is written in blocks where the report holds
+    `_STATE_MARK`.
+    """
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if state is None:
+        yield text
+        return
+    head, tail = text.split(json.dumps(_STATE_MARK))
+    line = head[head.rfind("\n") + 1:]
+    yield head
+    yield from _state_blocks(state, len(line) - len(line.lstrip(" ")))
+    yield tail
+
+
+def _write_output(chunks, out_path):
+    """Write an iterable of strings to `out_path`, or to stdout if it is None."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot write {out_path}: {exc}")
 
@@ -127,9 +176,9 @@ def _cmd_run(args) -> int:
             result = run(circuit, config)
             state = result.final_state
             if isinstance(state, PureState):
-                state_doc = {"kind": "wave", "amplitudes": _complex_pairs(state.amplitudes)}
+                array, state_doc = state.amplitudes, {"kind": "wave", "amplitudes": _STATE_MARK}
             else:
-                state_doc = {"kind": "density", "matrix": _complex_pairs(state.matrix)}
+                array, state_doc = state.matrix, {"kind": "density", "matrix": _STATE_MARK}
             report = {
                 "num_qubits": circuit.num_qubits,
                 "final_state": state_doc,
@@ -145,6 +194,7 @@ def _cmd_run(args) -> int:
                 ],
                 "layers_executed": result.layers_executed,
             }
+            chunks = _report_text(report, array)
         else:
             counts = run_shots(circuit, config, args.shots)
             report = {
@@ -152,9 +202,10 @@ def _cmd_run(args) -> int:
                 "shots": args.shots,
                 "counts": dict(sorted(counts.items())),
             }
+            chunks = _report_text(report)
     except (ConfigError, BondOverflowError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(chunks, args.out)
     return 0
 
 
@@ -163,7 +214,7 @@ def _cmd_random(args) -> int:
         circuit = random_circuit(args.qubits, args.depth, args.seed)
     except ValueError as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output(emit_qasm(circuit), args.out)
+    _write_output([emit_qasm(circuit)], args.out)
     return 0
 
 
@@ -175,7 +226,7 @@ def _cmd_bench(args) -> int:
         )
     except (ValueError, ConfigError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output(timing_csv(points), args.out)
+    _write_output([timing_csv(points)], args.out)
     return 0
 
 
@@ -187,7 +238,7 @@ def _cmd_noise_sweep(args) -> int:
         )
     except (ValueError, ConfigError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output(fidelity_csv(points), args.out)
+    _write_output([fidelity_csv(points)], args.out)
     return 0
 
 

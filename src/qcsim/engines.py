@@ -7,6 +7,13 @@ config.seed. Instructions scheduled past ``max_depth`` layers are not
 executed. Every engine returns the same RunResult shape. Noise requires
 the density representation.
 
+`_execute` is the one loop that executes instructions. `run` drives it
+once over the scheduled instructions. `run_shots` drives it once over the
+steps before the first measurement, which draw no random numbers, and
+then once per shot over the rest, on a copy of the backend the prefix
+left and with the shot's own generator; each shot's outcome is what
+`run` gives with that shot's seed.
+
 The engine selects the backend the loop drives:
 
 * ``simple`` — the dense backend (`DenseGroups`) started from one group of
@@ -26,6 +33,7 @@ final state.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,12 +94,8 @@ def _zero_array(num_qubits: int, representation: str) -> np.ndarray:
     return state
 
 
-def run(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Execute the circuit on the backend that the config's engine selects.
-
-    Instructions run in order, except those scheduled past the depth
-    cut-off; each measurement draws one sample from the run's generator.
-    """
+def _backend(circuit: Circuit, config: RunConfig):
+    """A backend in |0...0> for the config's engine and representation."""
     if circuit.has_noise() and config.representation != DENSITY:
         raise ConfigError(
             "noisy circuits require the density representation; "
@@ -99,25 +103,35 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
         )
     n = circuit.num_qubits
     if config.engine == MPS:
-        backend = MPSState(
+        return MPSState(
             n,
             max_bond=config.mps_max_bond,
             truncation_threshold=config.mps_truncation_threshold,
         )
-    elif config.engine == DEPTH:
-        backend = DenseGroups([[q] for q in range(n)], config.representation)
-    else:
-        backend = DenseGroups([list(range(n))], config.representation)
-    rng = np.random.default_rng(config.seed)
-    clbits = [0] * circuit.num_clbits
-    records = []
+    if config.engine == DEPTH:
+        return DenseGroups([[q] for q in range(n)], config.representation)
+    return DenseGroups([list(range(n))], config.representation)
+
+
+def _schedule(circuit: Circuit, config: RunConfig):
+    """The instructions that run, in order, and the number of layers they span.
+
+    Instructions scheduled past the depth cut-off are left out.
+    """
     layers = instruction_layers(circuit)
     stop = max(layers, default=0)
     if config.max_depth is not None:
         stop = min(config.max_depth, stop)
-    for ins, layer in zip(circuit.instructions, layers):
-        if layer > stop:
-            continue
+    return [ins for ins, layer in zip(circuit.instructions, layers) if layer <= stop], stop
+
+
+def _execute(backend, circuit: Circuit, steps, rng, clbits: list, records: list):
+    """Execute `steps` on the backend, updating `clbits` and `records` in place.
+
+    Each measurement draws one sample from `rng`; a gate runs only if its
+    classical condition holds on the current `clbits`.
+    """
+    for ins in steps:
         if ins.kind == MEASURE:
             q, bit = ins.qubit, ins.classical_bit
             outcome, p0 = st.sample_outcome(backend.prob_zero(q), rng.random())
@@ -127,6 +141,18 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
             records.append(MeasurementRecord(q, bit, outcome, p_out))
         elif ins.condition is None or clbits[ins.condition[0]] == ins.condition[1]:
             backend.apply(ins.gate, ins.targets, circuit.effective_noise(ins))
+
+
+def run(circuit: Circuit, config: RunConfig) -> RunResult:
+    """Execute the circuit on the backend that the config's engine selects.
+
+    Instructions run in order, except those scheduled past the depth
+    cut-off; each measurement draws one sample from the run's generator.
+    """
+    backend = _backend(circuit, config)
+    steps, stop = _schedule(circuit, config)
+    clbits, records = [0] * circuit.num_clbits, []
+    _execute(backend, circuit, steps, np.random.default_rng(config.seed), clbits, records)
     return RunResult(backend.export(), tuple(clbits), tuple(records), stop)
 
 
@@ -235,14 +261,25 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     """Run `shots` times with per-shot derived seeds; count classical outcomes.
 
     Keys are bit strings with classical bit 0 rightmost. Shot i uses the
-    seed sequence (config.seed, i), so results are reproducible.
+    seed sequence (config.seed, i), so results are reproducible, and each
+    shot draws what `run` draws with that seed. The steps before the first
+    measurement draw nothing and see all-zero classical bits, so they run
+    once; each shot continues from a copy of the backend they leave.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    prefix = _backend(circuit, config)
+    steps, _ = _schedule(circuit, config)
+    first = next((i for i, ins in enumerate(steps) if ins.kind == MEASURE), len(steps))
+    _execute(prefix, circuit, steps[:first], None, [0] * circuit.num_clbits, [])
+    rest = steps[first:]
     counts: dict[str, int] = {}
     for i in range(shots):
+        backend = copy.deepcopy(prefix)
+        clbits = [0] * circuit.num_clbits
         seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])
-        result = run(circuit, replace(config, seed=seed))
-        key = "".join(str(b) for b in reversed(result.classical_bits))
+        _execute(backend, circuit, rest, np.random.default_rng(seed), clbits, [])
+        backend.export()
+        key = "".join(str(b) for b in reversed(clbits))
         counts[key] = counts.get(key, 0) + 1
     return counts

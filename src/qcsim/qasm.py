@@ -271,7 +271,10 @@ class _Parser:
         if self.peek().value == "(":
             self.next()
             while True:
+                start = self.peek()
                 params.append(self.expression())
+                if not math.isfinite(params[-1]):
+                    self.error("parameter is not a finite number", SEMANTIC, start)
                 if self.peek().value == ",":
                     self.next()
                     continue

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from qcsim.bench import fidelity_csv, fidelity_sweep
-from qcsim.cli import main
+from qcsim.cli import _report_text, main
+from qcsim.engines import RunConfig, run
 from qcsim.qasm import parse_qasm
 
 BELL_MEASURED = """OPENQASM 2.0;
@@ -99,6 +101,117 @@ class TestRun:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["final_state"]["kind"] == "density"
+
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"global": 3},
+        {"global": {"kind": "dephasing", "epsilon": "x"}},
+        {"global": {"kind": "dephasing", "epsilon": None}},
+        {"overrides": [{"instruction": None, "slot": 0, "kind": "dephasing",
+                        "epsilon": 0.1}]},
+        {"overrides": [3]},
+    ])
+    def test_noise_config_type_errors_exit_2(self, bell_path, tmp_path, capsys, doc):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_text(json.dumps(doc))
+        code = main(["run", bell_path, "--repr", "density", "--noise-config", str(noise_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid noise config: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, data", [
+        ("latin1.qasm", b"OPENQASM 2.0;\nqreg q[1];\nh q[0]; // \xff\n"),
+        ("inf.qasm", b"OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];\n"),
+        ("instructions.json", b'{"num_qubits": 1, "instructions": 5}'),
+        ("toplevel.json", b"[1, 2]"),
+        ("entry.json", b'{"num_qubits": 1, "instructions": [3]}'),
+    ])
+    def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+    def test_non_utf8_noise_config_exits_1(self, bell_path, tmp_path, capsys):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_bytes(b'{"global": "\xff"}')
+        code = main(["run", bell_path, "--repr", "density", "--noise-config", str(noise_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read noise config: ") and err.count("\n") == 1
+
+
+def _complex_pairs(array: np.ndarray):
+    """The serializer the block writer replaced, kept as its oracle."""
+    if array.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in array]
+    return [_complex_pairs(row) for row in array]
+
+
+def _report(array: np.ndarray, state) -> dict:
+    key, kind = ("amplitudes", "wave") if array.ndim == 1 else ("matrix", "density")
+    return {"num_qubits": 1, "final_state": {"kind": kind, key: state},
+            "classical_bits": [0, 1], "layers_executed": 3}
+
+
+class TestStateSerialization:
+    """The block writer must give exactly the bytes of json.dumps(indent=2)."""
+
+    # Entries whose repr is easy to get wrong.
+    SPECIAL = [-0.0, 5e-324, 1e300, 1.0, -1e-300, 0.1]
+
+    def _check(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        array = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flat = array.reshape(-1)
+        for i, x in enumerate(self.SPECIAL[: flat.size]):
+            flat[i] = complex(x, self.SPECIAL[-1 - i])
+        oracle = json.dumps(_report(array, _complex_pairs(array)), indent=2, sort_keys=True)
+        assert "".join(_report_text(_report(array, "@state@"), array)) == oracle + "\n"
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_wave_matches_oracle(self, n):
+        # up to 2^10 amplitudes fit one block; 11 and 12 qubits span several
+        self._check(2**n, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_density_matches_oracle(self, n):
+        # 5 qubits fill exactly one block of rows; 6 qubits span several
+        self._check((2**n, 2**n), n)
+
+    @pytest.mark.parametrize("n, repr_", [(11, "wave"), (3, "density"), (6, "density")])
+    def test_stdout_and_out_give_oracle_bytes(self, tmp_path, capsys, n, repr_):
+        lines = ['OPENQASM 2.0;', f'qreg q[{n}];', 'creg c[1];']
+        lines += [f'u3({0.3 * q},{0.2},{0.1 * q}) q[{q}];' for q in range(n)]
+        lines += [f'cx q[{q}],q[{q + 1}];' for q in range(n - 1)]
+        lines += ['measure q[0] -> c[0];']
+        path = tmp_path / "c.qasm"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["run", str(path), "--repr", repr_, "--seed", "2"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == stdout
+
+        result = run(parse_qasm(path.read_text()), RunConfig(representation=repr_, seed=2))
+        state = result.final_state
+        array = state.amplitudes if repr_ == "wave" else state.matrix
+        key = "amplitudes" if repr_ == "wave" else "matrix"
+        report = {
+            "num_qubits": n,
+            "final_state": {"kind": repr_, key: _complex_pairs(array)},
+            "classical_bits": list(result.classical_bits),
+            "measurements": [
+                {"qubit": r.qubit_index, "classical_bit": r.classical_bit,
+                 "outcome": r.outcome, "probability": r.probability_of_outcome}
+                for r in result.measurements
+            ],
+            "layers_executed": result.layers_executed,
+        }
+        assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class TestRandom:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,14 @@ def x(q, condition=None):
 
 def cx(a, b):
     return gate_app(make_gate("CX"), (a, b))
+
+
+def ry(q, theta):
+    return gate_app(make_gate("RY", [theta]), (q,))
+
+
+def z(q, condition=None):
+    return gate_app(make_gate("Z"), (q,), condition=condition)
 
 
 def bell_circuit():
@@ -199,6 +209,60 @@ class TestRunShots:
     def test_reproducible(self):
         c = Circuit(1, 1, [h(0), measure(0, 0)])
         assert run_shots(c, RunConfig(seed=2), 100) == run_shots(c, RunConfig(seed=2), 100)
+
+
+def _shot_circuits():
+    teleport = Circuit(3, 3, [
+        ry(0, 0.8), h(1), cx(1, 2), cx(0, 1), h(0), measure(0, 0), measure(1, 1),
+        x(2, condition=(1, 1)), z(2, condition=(0, 1)), measure(2, 2),
+    ])
+    end = random_circuit(4, 6, 3)
+    end = Circuit(4, 4, list(end.instructions) + [measure(q, q) for q in range(4)])
+    # Before the first measurement, X on qubit 0 runs (bit 0 reads 0) and X on
+    # qubit 1 does not (bit 1 reads 0). After it, bit 1 is still unmeasured
+    # in every shot, so the last conditional X never runs.
+    conditional = Circuit(3, 2, [
+        x(0, condition=(0, 0)), x(1, condition=(1, 1)), ry(2, 1.1), cx(2, 1),
+        measure(1, 0), x(0, condition=(1, 1)), ry(0, 0.5), measure(0, 1),
+    ])
+    # layers: h0 1, measure 2, ry1 1, cx 3, measure 4
+    cut = Circuit(2, 2, [h(0), measure(0, 0), ry(1, 0.7), cx(0, 1), measure(1, 1)])
+    return {"teleport": teleport, "end": end, "conditional": conditional, "cut": cut}
+
+
+def _shots_by_run(circuit, config, shots):
+    """Oracle: one full `run` per shot, with that shot's derived seed."""
+    counts = {}
+    for i in range(shots):
+        seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])
+        bits = run(circuit, replace(config, seed=seed)).classical_bits
+        key = "".join(str(b) for b in reversed(bits))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("name", ["teleport", "end", "conditional", "cut"])
+@pytest.mark.parametrize("engine", ["simple", "mps", "depth"])
+def test_run_shots_matches_one_run_per_shot(name, engine):
+    circuit = _shot_circuits()[name]
+    configs = [RunConfig(engine=engine, seed=9)]
+    if name == "cut":  # cut between the two measurements, and before both
+        configs = [replace(configs[0], max_depth=d) for d in (1, 2, 3)]
+    if engine != "mps":
+        configs.append(replace(configs[-1], representation="density"))
+    for config in configs:
+        counts = run_shots(circuit, config, 40)
+        assert counts == _shots_by_run(circuit, config, 40)
+        if name != "cut":
+            assert len(counts) > 1
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth"])
+def test_run_shots_matches_one_run_per_shot_with_noise(engine):
+    circuit = _shot_circuits()["teleport"].with_global_noise(
+        NoiseSpec.uniform("amplitude_damping", 0.3, 2))
+    config = RunConfig(engine=engine, representation="density", seed=4)
+    assert run_shots(circuit, config, 40) == _shots_by_run(circuit, config, 40)
 
 
 def test_layers_executed_bounded_by_depth():

@@ -125,6 +125,11 @@ class TestParseErrors:
     def test_duplicate_register(self):
         self.check('OPENQASM 2.0;\nqreg q[1];\ncreg q[1];\n', "Semantic")
 
+    @pytest.mark.parametrize("expr", ["1e999", "-1e999", "1e999-1e999", "1e308*10"])
+    def test_non_finite_parameter(self, expr):
+        err = self.check(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n", "Semantic")
+        assert (err.line, err.column) == (3, 4)
+
     @pytest.mark.parametrize(
         "garbage",
         ["", "OPENQASM", "OPENQASM 2.0;", "OPENQASM 2.0; qreg q[1]; x", "((((", "\x00"],

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gates import Gate, make_gate
-from .noise import NoiseSpec
+from .noise import NoiseSpec, check_slots
 
 GATE_APP = "gate"
 MEASURE = "measure"
@@ -53,6 +53,7 @@ class Instruction:
             if len(targets) != self.gate.arity:
                 raise ValueError("target count must match gate arity")
             object.__setattr__(self, "targets", targets)
+            check_slots(self.gate, self.noise)
             if self.condition is not None:
                 bit, value = self.condition
                 if value not in (0, 1):

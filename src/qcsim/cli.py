@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,10 +85,7 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
                     raise ValueError(
                         f"override index {index} targets a non-gate instruction"
                     )
-                instructions[index] = type(ins)(
-                    ins.kind, gate=ins.gate, targets=ins.targets,
-                    condition=ins.condition, noise=NoiseSpec(slots),
-                )
+                instructions[index] = replace(ins, noise=NoiseSpec(slots))
             circuit = circuit.with_instructions(instructions)
         return circuit
     except (KeyError, ValueError, TypeError) as exc:

@@ -17,8 +17,8 @@ left and with the shot's own generator; each shot's outcome is what
 The engine selects the backend the loop drives:
 
 * ``simple`` — the dense backend (`DenseGroups`) started from one group of
-  all qubits: each gate, and each Kraus channel, is contracted into the
-  state on its target axes only.
+  all qubits: each gate step, with its noise folded in, is one operator
+  contracted into the state on its target axes only.
 * ``depth``  — the same dense backend started from one group per qubit:
   unentangled qubits stay in independent groups, merged only when a
   two-qubit gate spans two groups.
@@ -26,22 +26,24 @@ The engine selects the backend the loop drives:
   and re-splitting entangling gates with a truncated SVD; wave functions
   only.
 
-A backend provides ``apply(gate, targets, noise)``, ``prob_zero(qubit)``,
+A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
 ``collapse(qubit, outcome)`` and ``export()``, which returns the validated
-final state.
+final state; `_schedule` builds each gate's ``op`` once per circuit.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import state as st
 from .circuit import MEASURE, Circuit, instruction_layers
+from .gates import apply_on_qubits
 from .mps import MPSState
-from .noise import apply_gate
+from .noise import step_operator
 from .state import DensityMatrix, MeasurementRecord, PureState
 
 WAVE = "wave"
@@ -102,6 +104,10 @@ def _backend(circuit: Circuit, config: RunConfig):
             "wave-function mode cannot represent mixed states"
         )
     n = circuit.num_qubits
+    size = 16 * 2 ** (n if config.representation == WAVE else 2 * n)
+    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ConfigError(f"a {n}-qubit {config.representation} state needs "
+                          f"{size} bytes, more than this host's memory")
     if config.engine == MPS:
         return MPSState(
             n,
@@ -114,25 +120,31 @@ def _backend(circuit: Circuit, config: RunConfig):
 
 
 def _schedule(circuit: Circuit, config: RunConfig):
-    """The instructions that run, in order, and the number of layers they span.
+    """The steps that run, in order, and the number of layers they span.
 
+    A step is an instruction and its operator (None for a measurement).
     Instructions scheduled past the depth cut-off are left out.
     """
     layers = instruction_layers(circuit)
     stop = max(layers, default=0)
     if config.max_depth is not None:
         stop = min(config.max_depth, stop)
-    return [ins for ins, layer in zip(circuit.instructions, layers) if layer <= stop], stop
+    density = config.representation == DENSITY
+    return [
+        (ins, None if ins.kind == MEASURE
+         else step_operator(ins.gate, circuit.effective_noise(ins), density))
+        for ins, layer in zip(circuit.instructions, layers) if layer <= stop
+    ], stop
 
 
-def _execute(backend, circuit: Circuit, steps, rng, clbits: list, records: list):
+def _execute(backend, steps, rng, clbits: list, records: list):
     """Execute `steps` on the backend, updating `clbits` and `records` in place.
 
     Each measurement draws one sample from `rng`; a gate runs only if its
     classical condition holds on the current `clbits`.
     """
-    for ins in steps:
-        if ins.kind == MEASURE:
+    for ins, op in steps:
+        if op is None:
             q, bit = ins.qubit, ins.classical_bit
             outcome, p0 = st.sample_outcome(backend.prob_zero(q), rng.random())
             backend.collapse(q, outcome)
@@ -140,7 +152,7 @@ def _execute(backend, circuit: Circuit, steps, rng, clbits: list, records: list)
             p_out = p0 if outcome == 0 else 1 - p0
             records.append(MeasurementRecord(q, bit, outcome, p_out))
         elif ins.condition is None or clbits[ins.condition[0]] == ins.condition[1]:
-            backend.apply(ins.gate, ins.targets, circuit.effective_noise(ins))
+            backend.apply(op, ins.targets)
 
 
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -152,7 +164,7 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     backend = _backend(circuit, config)
     steps, stop = _schedule(circuit, config)
     clbits, records = [0] * circuit.num_clbits, []
-    _execute(backend, circuit, steps, np.random.default_rng(config.seed), clbits, records)
+    _execute(backend, steps, np.random.default_rng(config.seed), clbits, records)
     return RunResult(backend.export(), tuple(clbits), tuple(records), stop)
 
 
@@ -224,13 +236,13 @@ class DenseGroups:
             for q in qubits:
                 self.owner[q] = g
 
-    def apply(self, gate, targets, noise):
+    def apply(self, op, targets):
         g = self.owner[targets[0]]
-        if gate.arity == 2 and self.owner[targets[1]] is not g:
+        if len(targets) == 2 and self.owner[targets[1]] is not g:
             g = _merge_groups(g, self.owner[targets[1]])
             for q in g.qubits:
                 self.owner[q] = g
-        g.state = apply_gate(g.state, gate, [g.local(q) for q in targets], noise)
+        g.state = apply_on_qubits(g.state, op, [g.local(q) for q in targets])
 
     def prob_zero(self, qubit: int) -> float:
         g = self.owner[qubit]
@@ -270,15 +282,15 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
         raise ValueError("shots must be >= 1")
     prefix = _backend(circuit, config)
     steps, _ = _schedule(circuit, config)
-    first = next((i for i, ins in enumerate(steps) if ins.kind == MEASURE), len(steps))
-    _execute(prefix, circuit, steps[:first], None, [0] * circuit.num_clbits, [])
+    first = next((i for i, (_, op) in enumerate(steps) if op is None), len(steps))
+    _execute(prefix, steps[:first], None, [0] * circuit.num_clbits, [])
     rest = steps[first:]
     counts: dict[str, int] = {}
     for i in range(shots):
         backend = copy.deepcopy(prefix)
         clbits = [0] * circuit.num_clbits
         seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])
-        _execute(backend, circuit, rest, np.random.default_rng(seed), clbits, [])
+        _execute(backend, rest, np.random.default_rng(seed), clbits, [])
         backend.export()
         key = "".join(str(b) for b in reversed(clbits))
         counts[key] = counts.get(key, 0) + 1

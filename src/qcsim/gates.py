@@ -144,18 +144,18 @@ def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), local).reshape(tensor.shape)
 
 
-def apply_on_qubits(state: np.ndarray, mat: np.ndarray, targets) -> np.ndarray:
-    """Apply `mat` on `targets` of a raw state: mat psi, or mat rho mat^+.
+def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
+    """Contract `op` into a raw state on the axes of `targets`, in one pass.
 
     Qubit q is bit axis n-1-q of a 2^n vector, and row axis n-1-q and
-    column axis 2n-1-q of a 2^n x 2^n density matrix.
+    column axis 2n-1-q of a 2^n x 2^n density matrix, on which `op` is a
+    superoperator on the rows then the columns (`noise.step_operator`).
     """
     n = state.shape[0].bit_length() - 1
-    rows = [n - 1 - q for q in targets]
-    state = apply_local(state, mat, rows)
+    axes = [n - 1 - q for q in targets]
     if state.ndim == 2:
-        state = apply_local(state, np.conj(mat), [n + a for a in rows])
-    return state
+        axes += [n + a for a in axes]
+    return apply_local(state, op, axes)
 
 
 def embed_operator(mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:

@@ -42,14 +42,12 @@ class MPSState:
             "ps,asb->apb", matrix, self.tensors[site]
         )
 
-    def apply(self, gate, targets, noise=None):
-        """Apply a 1- or 2-qubit gate; an MPS holds pure states, so no noise."""
-        if noise is not None:
-            raise ValueError("an MPS holds pure states and cannot apply noise")
-        if gate.arity == 1:
-            self.apply_1q(gate.matrix, targets[0])
+    def apply(self, op, targets):
+        """Apply a 2x2 operator on one qubit or a 4x4 one on two."""
+        if len(op) == 2:
+            self.apply_1q(op, targets[0])
         else:
-            self.apply_2q(gate.matrix, targets[0], targets[1])
+            self.apply_2q(op, targets[0], targets[1])
 
     def apply_2q(self, matrix, q0, q1):
         """Apply a 4x4 gate whose local index has q0 as the more significant bit."""

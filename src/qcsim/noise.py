@@ -1,4 +1,4 @@
-"""Kraus noise channels and their application to gates on density matrices.
+"""Kraus noise channels and the operator that each gate step applies.
 
 Three named channels are provided, each parametrized by a strength
 ``epsilon`` in [0, 1]:
@@ -11,9 +11,9 @@ Three named channels are provided, each parametrized by a strength
 Dephasing and amplitude damping act on the target qubit before the gate;
 depolarizing acts after it. For two-qubit gates the per-slot channels
 combine as a tensor product. Every channel carries an explicit Kraus
-decomposition satisfying sum_k E_k^+ E_k = I, and acts on the qubit's row
-and column axes as one operator, sum_k E_k (x) conj(E_k), through the
-kernel that applies gates (`gates.apply_local`).
+decomposition satisfying sum_k E_k^+ E_k = I, and its superoperator
+sum_k E_k (x) conj(E_k) on the qubit's row and column bits; `step_operator`
+folds a gate and its channels into one such operator per gate step.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ class NoiseChannel:
     superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         ops = tuple(np.asarray(op, dtype=np.complex128) for op in self.kraus_ops)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
@@ -157,33 +156,31 @@ class NoiseSpec:
         )
 
 
-def apply_gate(state: np.ndarray, gate: Gate, targets, spec: NoiseSpec | None):
-    """`apply_noisy_gate` on a raw state vector or density matrix, unvalidated.
+def check_slots(gate: Gate, spec: NoiseSpec | None) -> None:
+    """Raise ValueError if `spec` has a slot past the targets of `gate`."""
+    slot = max(spec.per_qubit_channels, default=0) if spec else 0
+    if slot >= gate.arity:
+        raise ValueError(f"gate {gate.name} has no target for noise slot {slot}")
 
-    Noise needs a density matrix.
+
+def step_operator(gate: Gate, spec: NoiseSpec | None, density: bool) -> np.ndarray:
+    """The operator that one step of `gate` under noise `spec` applies.
+
+    A wave state gets the unitary U. A density matrix gets the Liouville
+    superoperator D_post (U (x) conj(U)) N_pre on the targets' row bits,
+    then their column bits: each slot's channel acts on its qubit's (row,
+    column) bits, dephasing and amplitude damping before U, depolarizing after.
     """
-    if spec is None:
-        return apply_on_qubits(state, gate.matrix, targets)
-    extra = [s for s in spec.per_qubit_channels if s >= gate.arity]
-    if extra:
-        raise ValueError(
-            f"noise slots {extra} invalid for arity-{gate.arity} gate {gate.name}"
-        )
-    channels = sorted(spec.per_qubit_channels.items())
-    for slot, ch in channels:
-        if ch.kind != DEPOLARIZING:
-            state = _apply_channel(state, ch, targets[slot])
-    state = apply_on_qubits(state, gate.matrix, targets)
-    for slot, ch in channels:
+    if not density:
+        return gate.matrix
+    k = gate.arity
+    pre = post = np.eye(4**k, dtype=np.complex128)
+    for slot, ch in (spec.per_qubit_channels if spec else {}).items():
         if ch.kind == DEPOLARIZING:
-            state = _apply_channel(state, ch, targets[slot])
-    return state
-
-
-def _apply_channel(rho: np.ndarray, channel: NoiseChannel, qubit: int) -> np.ndarray:
-    """sum_k E_k rho E_k^+ on `qubit`, summed over k inside one contraction."""
-    n = rho.shape[0].bit_length() - 1
-    return apply_local(rho, channel.superoperator, [n - 1 - qubit, 2 * n - 1 - qubit])
+            post = apply_local(post, ch.superoperator, [slot, k + slot])
+        else:
+            pre = apply_local(pre, ch.superoperator, [slot, k + slot])
+    return post @ np.kron(gate.matrix, gate.matrix.conj()) @ pre
 
 
 def apply_noisy_gate(
@@ -199,5 +196,6 @@ def apply_noisy_gate(
     n = rho.num_qubits
     if len(targets) != gate.arity or len(set(targets) & set(range(n))) != gate.arity:
         raise ValueError(f"gate {gate.name}: bad targets {targets} for {n} qubits")
-    mat = apply_gate(rho.matrix, gate, targets, spec)
+    check_slots(gate, spec)
+    mat = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), targets)
     return DensityMatrix(n, hermitize(mat))

@@ -40,10 +40,6 @@ class PureState:
             raise ValueError(f"state not normalized: |psi| = {norm}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
-
     @staticmethod
     def zero(num_qubits: int) -> "PureState":
         """The all-zeros computational basis state |0...0>."""
@@ -75,10 +71,6 @@ class DensityMatrix:
         if eigs.min() < -NORM_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_qubits
 
     @staticmethod
     def zero(num_qubits: int) -> "DensityMatrix":

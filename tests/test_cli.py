@@ -111,6 +111,8 @@ class TestRun:
         {"overrides": [{"instruction": None, "slot": 0, "kind": "dephasing",
                         "epsilon": 0.1}]},
         {"overrides": [3]},
+        {"overrides": [{"instruction": 0, "slot": 1, "kind": "dephasing",
+                        "epsilon": 0.1}]},  # slot 1 of the 1-qubit h
     ])
     def test_noise_config_type_errors_exit_2(self, bell_path, tmp_path, capsys, doc):
         noise_path = tmp_path / "noise.json"
@@ -126,6 +128,9 @@ class TestRun:
         ("instructions.json", b'{"num_qubits": 1, "instructions": 5}'),
         ("toplevel.json", b"[1, 2]"),
         ("entry.json", b'{"num_qubits": 1, "instructions": [3]}'),
+        ("slot.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "H",'
+                      b' "targets": [0], "noise": {"1": {"kind": "dephasing",'
+                      b' "epsilon": 0.1}}}]}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name
@@ -133,6 +138,22 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize("args", [
+        [*engine, *repr_, *shots]
+        for engine, repr_ in [
+            (["--engine", "simple"], []), (["--engine", "simple"], ["--repr", "density"]),
+            (["--engine", "depth"], []), (["--engine", "depth"], ["--repr", "density"]),
+            (["--engine", "mps"], []),
+        ]
+        for shots in ([], ["--shots", "2"])
+    ])
+    def test_register_larger_than_memory_exits_2(self, tmp_path, capsys, args):
+        path = tmp_path / "wide.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[70];\nh q[0];\n")
+        assert main(["run", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a 70-qubit ") and err.count("\n") == 1
 
     def test_non_utf8_noise_config_exits_1(self, bell_path, tmp_path, capsys):
         noise_path = tmp_path / "noise.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcsim.gates import GATE_SIGNATURES, apply_on_qubits, gate_tensor_on, make_gate
+from qcsim.noise import step_operator
 
 
 def test_hadamard_matrix():
@@ -144,6 +145,6 @@ def test_kernel_matches_u_rho_u_dagger_on_density_matrices(num_qubits):
             continue
         for targets in _target_lists(gate.arity, num_qubits):
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            out = apply_on_qubits(rho, gate.matrix, targets)
+            out = apply_on_qubits(rho, step_operator(gate, None, True), targets)
             u = gate_tensor_on(gate, targets, num_qubits)
             assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12, (gate.name, targets)

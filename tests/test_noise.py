@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qcsim.noise import (
     apply_noisy_gate,
     dephasing,
     depolarizing,
+    step_operator,
 )
 from qcsim.state import DensityMatrix, PureState, pure_to_density
 
@@ -176,6 +179,16 @@ class TestAmplitudeDamping:
         assert np.abs(out.matrix - expected).max() < 1e-12
 
 
+def kraus_terms(channel, after):
+    """The channel's Kraus terms on its side of the gate, else the identity.
+
+    Depolarizing acts after the gate; the other kinds act before it.
+    """
+    if (channel.kind == "depolarizing") == after:
+        return channel.kraus_ops
+    return [np.eye(2)]
+
+
 class TestApplyNoisyGate:
     def test_zero_noise_two_qubit_equals_noiseless(self):
         rng = np.random.default_rng(6)
@@ -190,21 +203,31 @@ class TestApplyNoisyGate:
     def test_two_qubit_tensor_product_matches_kron_oracle(self):
         rng = np.random.default_rng(7)
         cx = make_gate("CX")
-        # adjacent, reversed non-adjacent and non-adjacent targets; the last
-        # two mix dephasing on slot 0 with amplitude damping on slot 1
-        cases = [(2, [0, 1], dephasing(0.3)), (4, [3, 1], amplitude_damping(0.4)),
-                 (3, [0, 2], amplitude_damping(0.7))]
-        for num_qubits, targets, slot1 in cases:
+        # adjacent, reversed non-adjacent and non-adjacent targets; the later
+        # cases mix dephasing or amplitude damping (before the gate) with
+        # depolarizing (after it) on one gate
+        cases = [(2, [0, 1], dephasing(0.2), dephasing(0.3)),
+                 (4, [3, 1], dephasing(0.2), amplitude_damping(0.4)),
+                 (3, [0, 2], dephasing(0.2), amplitude_damping(0.7))]
+        for num_qubits, targets in [(4, [3, 1]), (3, [0, 2])]:
+            for other in (dephasing(0.35), amplitude_damping(0.45)):
+                cases += [(num_qubits, targets, depolarizing(0.3), other),
+                          (num_qubits, targets, other, depolarizing(0.25))]
+        for num_qubits, targets, slot0, slot1 in cases:
             rho = random_density(num_qubits, rng)
-            spec = NoiseSpec({0: dephasing(0.2), 1: slot1})
+            spec = NoiseSpec({0: slot0, 1: slot1})
             out = apply_noisy_gate(rho, cx, targets, spec)
             u = gate_tensor_on(cx, targets, num_qubits)
             expected = np.zeros_like(rho.matrix)
-            for e0 in spec.per_qubit_channels[0].kraus_ops:
-                for e1 in spec.per_qubit_channels[1].kraus_ops:
-                    k = u @ embed_operator(np.kron(e0, e1), targets, num_qubits)
-                    expected += k @ rho.matrix @ k.conj().T
-            assert np.abs(out.matrix - expected).max() < 1e-11
+            for b0, b1, a0, a1 in itertools.product(
+                kraus_terms(slot0, after=False), kraus_terms(slot1, after=False),
+                kraus_terms(slot0, after=True), kraus_terms(slot1, after=True),
+            ):
+                before = embed_operator(np.kron(b0, b1), targets, num_qubits)
+                after = embed_operator(np.kron(a0, a1), targets, num_qubits)
+                k = after @ u @ before
+                expected += k @ rho.matrix @ k.conj().T
+            assert np.abs(out.matrix - expected).max() < 1e-11, (targets, slot0, slot1)
 
     def test_slot_arity_mismatch_rejected(self):
         rho = DensityMatrix.zero(1)
@@ -241,3 +264,26 @@ class TestApplyNoisyGate:
                 u = gate_tensor_on(gate, [1], 2)
                 expected = u @ rho.matrix @ u.conj().T
                 assert np.abs(out.matrix - expected).max() < 1e-12
+
+
+def test_step_operator_invariants():
+    """Without noise the step is U (x) conj(U); with any noise it keeps the trace."""
+    rng = np.random.default_rng(12)
+    kinds = (dephasing, depolarizing, amplitude_damping)
+    gates = [make_gate("H"), make_gate("U3", rng.uniform(0, 2 * np.pi, 3)),
+             make_gate("CX"), make_gate("SWAP")]
+    for gate in gates:
+        u = gate.matrix
+        assert step_operator(gate, NoiseSpec({0: dephasing(0.3)}), False) is u
+        noiseless = step_operator(gate, None, True)
+        assert np.abs(noiseless - np.kron(u, u.conj())).max() < 1e-15
+        vec_identity = np.eye(2**gate.arity).reshape(-1)
+        slot_sets = [(0,)] if gate.arity == 1 else [(0,), (1,), (0, 1)]
+        for slots in slot_sets:
+            for chosen in itertools.product(kinds, repeat=len(slots)):
+                spec = NoiseSpec({slot: make(rng.uniform(0.05, 0.95))
+                                  for slot, make in zip(slots, chosen)})
+                op = step_operator(gate, spec, True)
+                assert op.shape == (4**gate.arity, 4**gate.arity)
+                assert np.abs(vec_identity @ op - vec_identity).max() < 1e-12, (
+                    gate.name, spec.to_dict())

@@ -22,9 +22,9 @@ The engine selects the backend the loop drives:
 * ``depth``  — the same dense backend started from one group per qubit:
   unentangled qubits stay in independent groups, merged only when a
   two-qubit gate spans two groups.
-* ``mps``    — a matrix product state (`MPSState`), applying gates locally
-  and re-splitting entangling gates with a truncated SVD; wave functions
-  only.
+* ``mps``    — a matrix product state (`MPSState`): truncated-SVD splits,
+  SWAPs that are never undone for distant pairs, and measurements read at
+  the chain's orthogonality centre; wave functions only.
 
 A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
 ``collapse(qubit, outcome)`` and ``export()``, which returns the validated

@@ -1,11 +1,14 @@
 """Matrix product state backend for the MPS execution engine.
 
-The state is a chain of rank-3 tensors, one per qubit, with shape
-(left_bond, 2, right_bond). Site i holds qubit i. Single-qubit gates
-contract locally; two-qubit gates on adjacent sites contract the shared
-bond, apply the 4x4 gate, and re-split with an SVD, discarding singular
-values below the truncation threshold and beyond the bond cap.
-Non-adjacent gates are routed by inserting SWAP pairs.
+The state is a chain of rank-3 tensors (left_bond, 2, right_bond), one per
+site; site s holds qubit `qubits[s]`. A two-qubit gate moves one of its
+qubits next to the other with SWAP splits and leaves it there; then it
+contracts the shared bond, applies the 4x4 gate and re-splits with an SVD,
+discarding singular values below the truncation threshold and beyond the
+bond cap. Tensors left of the orthogonality centre are left-isometric and
+those right of it right-isometric (Schollwöck, arXiv:1008.3477 §4); a split
+keeps this by putting the singular values on the tensor nearer the centre.
+Measurements move the centre onto their site with QR steps and read it.
 """
 
 from __future__ import annotations
@@ -30,17 +33,17 @@ class MPSState:
         self.max_bond = max_bond
         self.truncation_threshold = truncation_threshold
         zero = np.zeros((1, 2, 1), dtype=np.complex128)
+        zero[0, 0, 0] = 1.0
         self.tensors = [zero.copy() for _ in range(num_qubits)]
-        for t in self.tensors:
-            t[0, 0, 0] = 1.0
+        self.qubits = list(range(num_qubits))
+        self.centre = 0
 
     def bond_dims(self):
         return [t.shape[2] for t in self.tensors[:-1]]
 
-    def apply_1q(self, matrix, site):
-        self.tensors[site] = np.einsum(
-            "ps,asb->apb", matrix, self.tensors[site]
-        )
+    def apply_1q(self, matrix, qubit):
+        site = self.qubits.index(qubit)
+        self.tensors[site] = np.einsum("ps,asb->apb", matrix, self.tensors[site])
 
     def apply(self, op, targets):
         """Apply a 2x2 operator on one qubit or a 4x4 one on two."""
@@ -51,88 +54,84 @@ class MPSState:
 
     def apply_2q(self, matrix, q0, q1):
         """Apply a 4x4 gate whose local index has q0 as the more significant bit."""
-        lo, hi = min(q0, q1), max(q0, q1)
-        # Route the lower qubit up next to the higher one, apply, route back.
-        for s in range(lo, hi - 1):
+        lo, hi = sorted((self.qubits.index(q0), self.qubits.index(q1)))
+        # Move the qubit on the higher site down next to the other; it stays.
+        for s in reversed(range(lo + 1, hi)):
             self._apply_adjacent(_SWAP_4, s)
-        # After routing, sites (hi-1, hi) hold qubits (lo, hi). The adjacent
-        # flattening puts the lower site's bit most significant, matching the
-        # gate convention when q0 is the lower qubit; otherwise exchange the
-        # gate's local qubits.
-        if q0 < q1:
-            self._apply_adjacent(matrix, hi - 1)
+            self.qubits[s : s + 2] = self.qubits[s + 1], self.qubits[s]
+        # The adjacent flattening puts the lower site's bit most significant,
+        # matching the gate convention when q0 is on the lower site;
+        # otherwise exchange the gate's local qubits.
+        if self.qubits[lo] == q0:
+            self._apply_adjacent(matrix, lo)
         else:
-            self._apply_adjacent(_swap_gate_qubits(matrix), hi - 1)
-        for s in reversed(range(lo, hi - 1)):
-            self._apply_adjacent(_SWAP_4, s)
+            self._apply_adjacent(_swap_gate_qubits(matrix), lo)
 
     def _apply_adjacent(self, matrix, site):
         """Contract sites (site, site+1), apply gate, re-split via SVD.
 
         The gate's 4x4 index is flattened as 2*bit(site) + bit(site+1).
+        The singular values go on the tensor nearer the centre, so both
+        tensors stay isometric towards it and the centre stays put.
         """
         a, b = self.tensors[site], self.tensors[site + 1]
-        chi_l = a.shape[0]
-        chi_r = b.shape[2]
-        theta = np.tensordot(a, b, axes=(2, 0))  # (chi_l, s0, s1, chi_r)
-        theta = theta.reshape(chi_l, 4, chi_r)
-        theta = np.einsum("pq,aqb->apb", matrix, theta)
-        theta = theta.reshape(chi_l * 2, 2 * chi_r)
+        chi_l, chi_r = a.shape[0], b.shape[2]
+        theta = np.tensordot(a, b, axes=(2, 0)).reshape(chi_l, 4, chi_r)
+        theta = np.einsum("pq,aqb->apb", matrix, theta).reshape(chi_l * 2, 2 * chi_r)
         u, s, vh = np.linalg.svd(theta, full_matrices=False)
-        keep = s > self.truncation_threshold
-        chi = int(np.count_nonzero(keep))
-        chi = max(chi, 1)
+        chi = max(int(np.count_nonzero(s > self.truncation_threshold)), 1)
         if self.max_bond is not None and chi > self.max_bond:
             raise BondOverflowError(
-                f"bond dimension {chi} exceeds cap {self.max_bond} at site {site}"
+                f"bond dimension {chi} exceeds cap {self.max_bond} between "
+                f"qubits {self.qubits[site]} and {self.qubits[site + 1]}"
             )
-        s = s[:chi]
-        s = s / np.linalg.norm(s)  # keep the state normalized after truncation
-        self.tensors[site] = u[:, :chi].reshape(chi_l, 2, chi)
-        self.tensors[site + 1] = (s[:, None] * vh[:chi]).reshape(chi, 2, chi_r)
+        if self.centre > site:
+            u, vh = u[:, :chi], s[:chi, None] * vh[:chi]
+        else:
+            u, vh = u[:, :chi] * s[:chi], vh[:chi]
+        self.tensors[site] = u.reshape(chi_l, 2, chi)
+        self.tensors[site + 1] = vh.reshape(chi, 2, chi_r)
 
-    def _transfer(self, site_matrices=None):
-        """Contract <psi| M |psi> with optional per-site 2x2 operators."""
-        env = np.ones((1, 1), dtype=np.complex128)
-        for i, t in enumerate(self.tensors):
-            op = None if site_matrices is None else site_matrices.get(i)
-            top = t if op is None else np.einsum("ps,asb->apb", op, t)
-            env = np.einsum("ac,asb,csd->bd", env, top, t.conj())
-        return complex(env[0, 0])
-
-    def norm_squared(self):
-        return float(np.real(self._transfer()))
+    def _centre_on(self, qubit):
+        """Move the centre onto the qubit's site by QR steps; return its tensor."""
+        site, t = self.qubits.index(qubit), self.tensors
+        while self.centre < site:
+            c = self.centre
+            q, r = np.linalg.qr(t[c].reshape(-1, t[c].shape[2]))
+            t[c] = q.reshape(t[c].shape[0], 2, -1)
+            t[c + 1] = np.tensordot(r, t[c + 1], axes=(1, 0))
+            self.centre += 1
+        while self.centre > site:
+            c = self.centre
+            q, r = np.linalg.qr(t[c].reshape(t[c].shape[0], -1).T)
+            t[c] = q.T.reshape(-1, 2, t[c].shape[2])
+            t[c - 1] = np.tensordot(t[c - 1], r.T, axes=(2, 0))
+            self.centre -= 1
+        return t[site]
 
     def prob_zero(self, qubit):
-        proj = np.diag([1.0, 0.0]).astype(np.complex128)
-        return float(np.real(self._transfer({qubit: proj}))) / self.norm_squared()
+        a = self._centre_on(qubit)
+        return float(np.linalg.norm(a[:, 0]) ** 2 / np.linalg.norm(a) ** 2)
 
     def collapse(self, qubit, outcome):
-        """Project one site onto |outcome> and renormalize the chain."""
-        proj = np.zeros((2, 2), dtype=np.complex128)
-        proj[outcome, outcome] = 1.0
-        self.apply_1q(proj, qubit)
-        norm = np.sqrt(self.norm_squared())
-        self.tensors[qubit] = self.tensors[qubit] / norm
+        """Project the qubit onto |outcome> at the centre and renormalize."""
+        a = self._centre_on(qubit)
+        kept = np.zeros_like(a)
+        kept[:, outcome] = a[:, outcome]
+        self.tensors[self.centre] = kept / np.linalg.norm(kept)
 
     def export(self):
         return self.to_pure_state()
 
     def to_pure_state(self):
-        """Contract the chain into a full state vector."""
-        v = self.tensors[0]  # (1, 2, chi)
-        v = v.reshape(2, -1)
-        acc = v  # axes: (q0, ..., q_{i}), bond
-        shape = [2]
+        """Contract the chain in site order and sort its axes by qubit; unscaled."""
+        acc = self.tensors[0].reshape(2, -1)
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=(-1, 0))
-            shape.append(2)
-        acc = acc.reshape(shape)  # axes q0..q_{n-1}
+        acc = acc.reshape([2] * self.num_qubits)
         # numpy's C order makes axis 0 most significant; qubit 0 must be least.
-        vec = np.transpose(acc, axes=list(reversed(range(self.num_qubits))))
-        vec = vec.reshape(-1)
-        vec = vec / np.linalg.norm(vec)
-        return PureState(self.num_qubits, vec)
+        axes = [self.qubits.index(q) for q in reversed(range(self.num_qubits))]
+        return PureState(self.num_qubits, acc.transpose(axes).reshape(-1))
 
 
 def _swap_gate_qubits(matrix):

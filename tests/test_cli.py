@@ -79,6 +79,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: bond dimension") and err.count("\n") == 1
 
+    def test_bond_overflow_names_routed_qubits(self, tmp_path, capsys):
+        path = tmp_path / "far.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[4];\nh q[0];\ncx q[0],q[3];\n")
+        assert main(["run", str(path), "--engine", "mps", "--mps-max-bond", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bond dimension 2 exceeds cap 1 between qubits 0 and 3\n"
+
     def test_nonpositive_bond_cap_exits_2(self, bell_path, capsys):
         assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "0"]) == 2
         assert capsys.readouterr().err == "error: mps_max_bond must be >= 1\n"

@@ -3,7 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcsim.circuit import Circuit, depth, gate_app, instruction_layers, measure, random_circuit
+from qcsim.circuit import (
+    MEASURE,
+    Circuit,
+    depth,
+    gate_app,
+    instruction_layers,
+    measure,
+    random_circuit,
+)
 from qcsim.engines import (
     ConfigError,
     RunConfig,
@@ -131,6 +139,99 @@ class TestMps:
             simple = run_simple(c, RunConfig(seed=seed))
             assert mps.classical_bits == simple.classical_bits
             assert 1 - state_fidelity(mps.final_state, simple.final_state) < 1e-10
+
+    def test_routed_circuits_match_simple_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            c = _routed_circuit(rng, int(rng.integers(2, 10)))
+            stop = int(rng.integers(1, depth(c) + 1))
+            for max_depth in (None, stop):
+                config = RunConfig(seed=int(rng.integers(1 << 30)), max_depth=max_depth)
+                mps = run_mps(c, config)
+                simple = run_simple(c, config)
+                assert np.abs(mps.final_state.amplitudes
+                              - simple.final_state.amplitudes).max() < 1e-10
+                assert mps.classical_bits == simple.classical_bits
+                assert mps.layers_executed == simple.layers_executed
+                assert len(mps.measurements) == len(simple.measurements)
+                for a, b in zip(mps.measurements, simple.measurements):
+                    assert (a.qubit_index, a.classical_bit, a.outcome) == (
+                        b.qubit_index, b.classical_bit, b.outcome)
+                    assert abs(a.probability_of_outcome - b.probability_of_outcome) < 1e-12
+
+    def test_canonical_form_holds_after_every_step(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            c = _routed_circuit(rng, int(rng.integers(2, 9)))
+            mps = MPSState(c.num_qubits)
+            for ins in c.instructions:
+                if ins.kind == MEASURE:
+                    p0 = mps.prob_zero(ins.qubit)
+                    mps.collapse(ins.qubit, 0 if p0 >= 0.5 else 1)
+                else:
+                    mps.apply(ins.gate.matrix, ins.targets)
+                for site, t in enumerate(mps.tensors):
+                    left, _, right = t.shape
+                    if site < mps.centre:
+                        m = t.reshape(left * 2, right)
+                        gram = m.conj().T @ m
+                    elif site > mps.centre:
+                        m = t.reshape(left, 2 * right)
+                        gram = m @ m.conj().T
+                    else:
+                        continue
+                    assert np.abs(gram - np.eye(len(gram))).max() < 1e-12
+
+    def test_routing_leaves_qubits_where_they_meet(self, monkeypatch):
+        splits = []
+        split = MPSState._apply_adjacent
+        monkeypatch.setattr(MPSState, "_apply_adjacent",
+                            lambda self, m, s: splits.append(s) or split(self, m, s))
+        rng = np.random.default_rng(10)
+        ins = []
+        for pairs in ([(i, i + 8) for i in range(8)], [(15 - i, i) for i in range(8)], []):
+            ins += [gate_app(make_gate("U3", rng.uniform(0, 2 * np.pi, 3)), (q,))
+                    for q in range(16)]
+            ins += [cx(a, b) for a, b in pairs]
+        c = Circuit(16, 0, ins)
+        result = run_mps(c, RunConfig())
+        # Routing there and back took 224 SWAP splits and 16 gate splits.
+        assert len(splits) < 240 / 2
+        simple = run_simple(c, RunConfig())
+        assert np.abs(result.final_state.amplitudes
+                      - simple.final_state.amplitudes).max() < 1e-10
+
+    def test_export_checks_the_chain_norm(self):
+        mps = MPSState(3)
+        for ins in (h(0), cx(0, 2), cx(2, 1)):
+            mps.apply(ins.gate.matrix, ins.targets)
+        assert abs(np.linalg.norm(mps.export().amplitudes) - 1) < 1e-12
+        mps.tensors[mps.centre] = mps.tensors[mps.centre] * 1.1
+        with pytest.raises(ValueError, match="not normalized"):
+            mps.export()
+
+
+def _routed_circuit(rng, n):
+    """Random gates on any qubit pair, in either order, with mid-circuit
+    measurements and gates conditioned on their outcomes."""
+    ins, measured = [], []
+    for _ in range(int(rng.integers(10, 40))):
+        condition = None
+        if measured and rng.random() < 0.3:
+            condition = (int(rng.choice(measured)), int(rng.integers(2)))
+        r = rng.random()
+        if r < 0.4:
+            gate = make_gate("U3", rng.uniform(0, 2 * np.pi, 3))
+            ins.append(gate_app(gate, (int(rng.integers(n)),), condition=condition))
+        elif r < 0.85:
+            pair = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+            gate = make_gate(("CX", "CZ", "SWAP")[int(rng.integers(3))])
+            ins.append(gate_app(gate, pair, condition=condition))
+        else:
+            q = int(rng.integers(n))
+            ins.append(measure(q, q))
+            measured.append(q)
+    return Circuit(n, n, ins)
 
 
 class TestDepthEngine:

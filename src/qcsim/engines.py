@@ -1,4 +1,4 @@
-"""Circuit execution: one instruction loop over two backends.
+"""Circuit execution: one walk of the measurement-outcome tree over two backends.
 
 `run` starts every circuit from |0...0>, executes its instructions in
 order, skips gates whose classical condition does not hold, and collapses
@@ -7,12 +7,14 @@ config.seed. Instructions scheduled past ``max_depth`` layers are not
 executed. Every engine returns the same RunResult shape. Noise requires
 the density representation.
 
-`_execute` is the one loop that executes instructions. `run` drives it
-once over the scheduled instructions. `run_shots` drives it once over the
-steps before the first measurement, which draw no random numbers, and
-then once per shot over the rest, on a copy of the backend the prefix
-left and with the shot's own generator; each shot's outcome is what
-`run` gives with that shot's seed.
+`_execute` is the one loop that executes instructions. It walks the tree
+of measurement outcomes for a set of shots: once the circuit is fixed, so
+is the state after each string of outcomes (noise is folded into each
+step's operator), so each branch that some shot takes is simulated once.
+`run` walks the single path of one shot and records its measurements;
+`run_shots` walks all its shots at once and counts them at the leaves.
+Each shot draws what `run` draws with that shot's seed, by the same numpy
+calls on the same arrays, so the counts equal one `run` per shot exactly.
 
 The engine selects the backend the loop drives:
 
@@ -27,13 +29,13 @@ The engine selects the backend the loop drives:
   the chain's orthogonality centre; wave functions only.
 
 A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
-``collapse(qubit, outcome)`` and ``export()``, which returns the validated
+``collapse(qubit, outcome)``, ``copy()``, which returns an independent
+backend in the same state, and ``export()``, which returns the validated
 final state; `_schedule` builds each gate's ``op`` once per circuit.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, replace
 
@@ -76,6 +78,8 @@ class RunConfig:
             raise ConfigError("max_depth must be >= 1")
         if self.mps_max_bond is not None and self.mps_max_bond < 1:
             raise ConfigError("mps_max_bond must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.engine == MPS and self.representation == DENSITY:
             raise ConfigError("the MPS engine supports the wave representation only")
 
@@ -137,22 +141,51 @@ def _schedule(circuit: Circuit, config: RunConfig):
     ], stop
 
 
-def _execute(backend, steps, rng, clbits: list, records: list):
-    """Execute `steps` on the backend, updating `clbits` and `records` in place.
+def _measurements(steps) -> int:
+    return sum(op is None for _, op in steps)
 
-    Each measurement draws one sample from `rng`; a gate runs only if its
-    classical condition holds on the current `clbits`.
+
+def _execute(backend, steps, draws, num_clbits: int, records=None):
+    """Walk the measurement-outcome tree of `steps` from the backend's state.
+
+    Row i of `draws` holds shot i's samples, one per measurement in step
+    order. A node is a backend, the shots that reach it and their classical
+    bits, on which gate conditions are read. A measurement reads prob_zero
+    once and splits the node's shots by their draws. When both outcomes
+    are drawn, the larger branch waits on a stack as a collapsed copy while
+    the smaller is walked, so at most floor(log2 shots) + 1 backends are
+    pending or walked at once. With one shot, `records` collects the
+    MeasurementRecords of its path. Yields (backend, clbits, shots) per
+    leaf, its shots in ascending order.
     """
-    for ins, op in steps:
-        if op is None:
+    stack = [(backend, 0, 0, [0] * num_clbits, np.arange(len(draws)))]
+    while stack:
+        backend, i, k, clbits, shots = stack.pop()
+        for ins, op in steps[i:]:
+            i += 1
+            if op is not None:
+                if ins.condition is None or clbits[ins.condition[0]] == ins.condition[1]:
+                    backend.apply(op, ins.targets)
+                continue
             q, bit = ins.qubit, ins.classical_bit
-            outcome, p0 = st.sample_outcome(backend.prob_zero(q), rng.random())
+            p0, ones = st.sample_outcomes(backend.prob_zero(q), draws[shots, k])
+            k += 1
+            branches = [(o, s) for o, s in ((0, shots[~ones]), (1, shots[ones])) if len(s)]
+            if len(branches) == 2:
+                (outcome, shots), (other, rest) = sorted(branches, key=lambda b: len(b[1]))
+                sibling = backend.copy()
+                sibling.collapse(q, other)
+                sibling_bits = clbits.copy()
+                sibling_bits[bit] = other
+                stack.append((sibling, i, k, sibling_bits, rest))
+            else:
+                [(outcome, shots)] = branches
             backend.collapse(q, outcome)
             clbits[bit] = outcome
-            p_out = p0 if outcome == 0 else 1 - p0
-            records.append(MeasurementRecord(q, bit, outcome, p_out))
-        elif ins.condition is None or clbits[ins.condition[0]] == ins.condition[1]:
-            backend.apply(op, ins.targets)
+            if records is not None:
+                p_out = p0 if outcome == 0 else 1 - p0
+                records.append(MeasurementRecord(q, bit, outcome, p_out))
+        yield backend, clbits, shots
 
 
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -163,9 +196,10 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     """
     backend = _backend(circuit, config)
     steps, stop = _schedule(circuit, config)
-    clbits, records = [0] * circuit.num_clbits, []
-    _execute(backend, steps, np.random.default_rng(config.seed), clbits, records)
-    return RunResult(backend.export(), tuple(clbits), tuple(records), stop)
+    draws = np.random.default_rng(config.seed).random((1, _measurements(steps)))
+    records = []
+    [(leaf, clbits, _)] = _execute(backend, steps, draws, circuit.num_clbits, records)
+    return RunResult(leaf.export(), tuple(clbits), tuple(records), stop)
 
 
 def run_simple(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -244,6 +278,14 @@ class DenseGroups:
                 self.owner[q] = g
         g.state = apply_on_qubits(g.state, op, [g.local(q) for q in targets])
 
+    def copy(self) -> DenseGroups:
+        """An independent copy: one new group per group, each array copied once."""
+        new = object.__new__(DenseGroups)
+        groups = {id(g): g for g in self.owner}
+        copies = {key: _Group(list(g.qubits), g.state.copy()) for key, g in groups.items()}
+        new.owner = [copies[id(g)] for g in self.owner]
+        return new
+
     def prob_zero(self, qubit: int) -> float:
         g = self.owner[qubit]
         return st.prob_zero(g.state, g.local(qubit))
@@ -272,26 +314,25 @@ class DenseGroups:
 def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     """Run `shots` times with per-shot derived seeds; count classical outcomes.
 
-    Keys are bit strings with classical bit 0 rightmost. Shot i uses the
-    seed sequence (config.seed, i), so results are reproducible, and each
-    shot draws what `run` draws with that seed. The steps before the first
-    measurement draw nothing and see all-zero classical bits, so they run
-    once; each shot continues from a copy of the backend they leave.
+    Keys are bit strings with classical bit 0 rightmost, in the order in
+    which shots first give them. Shot i uses the seed sequence
+    (config.seed, i), so results are reproducible, and it draws what `run`
+    draws with that seed. All shots walk one outcome tree: each distinct
+    branch is simulated once, and each leaf's state is exported, and so
+    validated, once.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    prefix = _backend(circuit, config)
+    backend = _backend(circuit, config)
     steps, _ = _schedule(circuit, config)
-    first = next((i for i, (_, op) in enumerate(steps) if op is None), len(steps))
-    _execute(prefix, steps[:first], None, [0] * circuit.num_clbits, [])
-    rest = steps[first:]
-    counts: dict[str, int] = {}
+    draws = np.empty((shots, _measurements(steps)))
     for i in range(shots):
-        backend = copy.deepcopy(prefix)
-        clbits = [0] * circuit.num_clbits
         seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])
-        _execute(backend, rest, np.random.default_rng(seed), clbits, [])
-        backend.export()
+        draws[i] = np.random.default_rng(seed).random(draws.shape[1])
+    counts, first = {}, {}
+    for leaf, clbits, hits in _execute(backend, steps, draws, circuit.num_clbits):
+        leaf.export()
         key = "".join(str(b) for b in reversed(clbits))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        counts[key] = counts.get(key, 0) + len(hits)
+        first[key] = min(first.get(key, hits[0]), hits[0])
+    return {key: counts[key] for key in sorted(counts, key=first.get)}

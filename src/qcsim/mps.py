@@ -38,6 +38,14 @@ class MPSState:
         self.qubits = list(range(num_qubits))
         self.centre = 0
 
+    def copy(self):
+        """An independent copy: the tensors, the qubit-to-site map and the centre."""
+        new = object.__new__(MPSState)
+        new.__dict__.update(self.__dict__)
+        new.tensors = [t.copy() for t in self.tensors]
+        new.qubits = list(self.qubits)
+        return new
+
     def bond_dims(self):
         return [t.shape[2] for t in self.tensors[:-1]]
 

@@ -186,25 +186,27 @@ def measure_qubit(state, qubit: int, rng_sample: float):
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     raw = state.amplitudes if isinstance(state, PureState) else state.matrix
-    outcome, p0 = sample_outcome(prob_zero(raw, qubit), rng_sample)
+    p0, ones = sample_outcomes(prob_zero(raw, qubit), np.array([rng_sample]))
+    outcome = int(ones[0])
     return outcome, type(state)(n, collapse(raw, qubit, outcome)), p0
 
 
-def sample_outcome(p0: float, rng_sample: float):
-    """Born-rule draw of a measurement outcome from the probability of 0.
+def sample_outcomes(p0: float, rng_samples: np.ndarray):
+    """Born-rule draws of one measurement's outcome from the probability of 0.
 
-    p0 is clamped to [0, 1] against roundoff and outcome 0 is picked when
-    rng_sample < p0. An outcome less likely than ZERO_PROB_ATOL is refused,
-    because its post state cannot be renormalized. Returns (outcome, p0).
+    p0 is clamped to [0, 1] against roundoff and a sample draws outcome 0
+    when it is below p0. An outcome less likely than ZERO_PROB_ATOL is
+    refused if any sample draws it, because its post state cannot be
+    renormalized. Returns (p0, ones): ones[i] is True where sample i draws 1.
     """
     p0 = min(max(p0, 0.0), 1.0)
-    outcome = 0 if rng_sample < p0 else 1
-    p_out = p0 if outcome == 0 else 1.0 - p0
-    if p_out < ZERO_PROB_ATOL:
-        raise ValueError(
-            f"cannot collapse onto outcome {outcome} with probability {p_out}"
-        )
-    return outcome, p0
+    ones = ~(rng_samples < p0)
+    for outcome, p_out, drawn in ((0, p0, ~ones), (1, 1.0 - p0, ones)):
+        if p_out < ZERO_PROB_ATOL and drawn.any():
+            raise ValueError(
+                f"cannot collapse onto outcome {outcome} with probability {p_out}"
+            )
+    return p0, ones
 
 
 def prob_zero(state: np.ndarray, qubit: int) -> float:

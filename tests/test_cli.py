@@ -74,6 +74,11 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--shots", "5"]])
+    def test_negative_seed_exits_2(self, bell_path, extra, capsys):
+        assert main(["run", bell_path, "--seed", "-1", *extra]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
     def test_bond_overflow_exits_2(self, bell_path, capsys):
         assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "1"]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +14,10 @@ from qcsim.circuit import (
     measure,
     random_circuit,
 )
+from qcsim import engines
 from qcsim.engines import (
     ConfigError,
+    DenseGroups,
     RunConfig,
     run,
     run_depth,
@@ -23,7 +27,7 @@ from qcsim.engines import (
 )
 from qcsim.gates import gate_tensor_on, make_gate
 from qcsim.mps import BondOverflowError, MPSState
-from qcsim.noise import NoiseSpec
+from qcsim.noise import NoiseSpec, step_operator
 from qcsim.state import PureState, fidelity, pure_to_density
 
 
@@ -39,8 +43,8 @@ def cx(a, b):
     return gate_app(make_gate("CX"), (a, b))
 
 
-def ry(q, theta):
-    return gate_app(make_gate("RY", [theta]), (q,))
+def ry(q, theta, condition=None):
+    return gate_app(make_gate("RY", [theta]), (q,), condition=condition)
 
 
 def z(q, condition=None):
@@ -328,7 +332,26 @@ def _shot_circuits():
     ])
     # layers: h0 1, measure 2, ry1 1, cx 3, measure 4
     cut = Circuit(2, 2, [h(0), measure(0, 0), ry(1, 0.7), cx(0, 1), measure(1, 1)])
-    return {"teleport": teleport, "end": end, "conditional": conditional, "cut": cut}
+    twice = Circuit(2, 2, [h(0), measure(0, 0), ry(0, 0.6), cx(0, 1), measure(0, 1),
+                           measure(1, 0)])
+    one_bit = Circuit(2, 1, [h(0), ry(1, 1.2), measure(0, 0), measure(1, 0),
+                             x(0, condition=(0, 1)), h(0), measure(0, 0)])
+    # The conditional RY reads the first measurement's bit, which the second
+    # overwrites before the conditional X reads it.
+    overwrite = Circuit(2, 1, [h(0), measure(0, 0), ry(1, 0.9, condition=(0, 1)),
+                               h(0), measure(0, 0), x(1, condition=(0, 0)), measure(1, 0)])
+    depolarizing = teleport.with_global_noise(NoiseSpec.uniform("depolarizing", 0.1, 2))
+    # 1,500 measurements: more levels than Python's recursion limit.
+    long = [h(0)]
+    for k in range(750):
+        long += [ry(1, 0.3 + k / 1000), cx(0, 1), measure(0, 0), measure(1, 1),
+                 x(0, condition=(1, 1))]
+    return {"teleport": teleport, "end": end, "conditional": conditional, "cut": cut,
+            "twice": twice, "one_bit": one_bit, "overwrite": overwrite,
+            "once": teleport, "depolarizing": depolarizing, "long": Circuit(2, 2, long)}
+
+
+_SHOTS = {"once": 1, "long": 3}
 
 
 def _shots_by_run(circuit, config, shots):
@@ -342,19 +365,25 @@ def _shots_by_run(circuit, config, shots):
     return counts
 
 
-@pytest.mark.parametrize("name", ["teleport", "end", "conditional", "cut"])
+@pytest.mark.parametrize("name", ["teleport", "end", "conditional", "cut", "twice",
+                                  "one_bit", "overwrite", "once", "depolarizing", "long"])
 @pytest.mark.parametrize("engine", ["simple", "mps", "depth"])
 def test_run_shots_matches_one_run_per_shot(name, engine):
     circuit = _shot_circuits()[name]
+    shots = _SHOTS.get(name, 40)
     configs = [RunConfig(engine=engine, seed=9)]
     if name == "cut":  # cut between the two measurements, and before both
         configs = [replace(configs[0], max_depth=d) for d in (1, 2, 3)]
     if engine != "mps":
         configs.append(replace(configs[-1], representation="density"))
+    if circuit.has_noise():
+        with pytest.raises(ConfigError):
+            run_shots(circuit, configs[0], shots)
+        configs = configs[1:]
     for config in configs:
-        counts = run_shots(circuit, config, 40)
-        assert counts == _shots_by_run(circuit, config, 40)
-        if name != "cut":
+        counts = run_shots(circuit, config, shots)
+        assert list(counts.items()) == list(_shots_by_run(circuit, config, shots).items())
+        if name not in ("cut", "once", "long"):
             assert len(counts) > 1
 
 
@@ -364,6 +393,127 @@ def test_run_shots_matches_one_run_per_shot_with_noise(engine):
         NoiseSpec.uniform("amplitude_damping", 0.3, 2))
     config = RunConfig(engine=engine, representation="density", seed=4)
     assert run_shots(circuit, config, 40) == _shots_by_run(circuit, config, 40)
+
+
+def _replay(circuit, config):
+    """Oracle: the sequential loop, one `rng.random()` per measurement."""
+    backend = engines._backend(circuit, config)
+    steps, _ = engines._schedule(circuit, config)
+    rng = np.random.default_rng(config.seed)
+    clbits, records = [0] * circuit.num_clbits, []
+    for ins, op in steps:
+        if op is None:
+            p0 = min(max(backend.prob_zero(ins.qubit), 0.0), 1.0)
+            outcome = 0 if rng.random() < p0 else 1
+            backend.collapse(ins.qubit, outcome)
+            clbits[ins.classical_bit] = outcome
+            records.append((ins.qubit, outcome, p0 if outcome == 0 else 1 - p0))
+        elif ins.condition is None or clbits[ins.condition[0]] == ins.condition[1]:
+            backend.apply(op, ins.targets)
+    return tuple(clbits), records, backend.export()
+
+
+@pytest.mark.parametrize("engine", ["simple", "mps", "depth"])
+def test_run_matches_sequential_replay(engine):
+    for name, circuit in _shot_circuits().items():
+        if name == "long" or (circuit.has_noise() and engine == "mps"):
+            continue
+        repr_ = "density" if circuit.has_noise() else "wave"
+        for seed in range(6):
+            config = RunConfig(engine=engine, representation=repr_, seed=seed)
+            result = run(circuit, config)
+            clbits, records, state = _replay(circuit, config)
+            assert result.classical_bits == clbits
+            assert [(r.qubit_index, r.outcome, r.probability_of_outcome)
+                    for r in result.measurements] == records
+            raw = state.amplitudes if repr_ == "wave" else state.matrix
+            got = result.final_state.amplitudes if repr_ == "wave" else result.final_state.matrix
+            assert np.array_equal(got, raw)
+
+
+def _backend_calls(monkeypatch, cls):
+    """Count export() and collapse() calls on `cls`, and the most instances alive at once."""
+    calls = {"export": 0, "collapse": 0, "alive": 0}
+    alive = weakref.WeakSet()
+
+    def track(name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            result = method(self, *args)
+            calls[name] = calls.get(name, 0) + 1
+            alive.update((self, result) if name == "copy" else (self,))
+            calls["alive"] = max(calls["alive"], len(alive))
+            return result
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("export", "collapse", "copy", "prob_zero"):
+        track(name)
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["simple", "mps", "depth"])
+def test_shots_simulate_each_branch_once(engine, monkeypatch):
+    calls = _backend_calls(monkeypatch, MPSState if engine == "mps" else DenseGroups)
+    run_shots(_shot_circuits()["teleport"], RunConfig(engine=engine, seed=3), 300)
+    # One run per shot makes 300 exports and 900 collapses.
+    assert calls["export"] <= 8
+    assert calls["collapse"] <= 14
+    assert calls["alive"] <= math.floor(math.log2(300)) + 2
+
+
+@pytest.mark.parametrize("engine", ["simple", "mps", "depth"])
+def test_shots_keep_log_many_backends_alive(engine, monkeypatch):
+    # Each round reads 0 with probability 0.9 and resets the qubit. Walking
+    # the larger branch first would leave about 30 smaller siblings pending.
+    rounds = []
+    for _ in range(40):
+        rounds += [ry(0, 2 * np.arcsin(np.sqrt(0.1))), measure(0, 0), x(0, condition=(0, 1))]
+    circuit = Circuit(1, 1, rounds)
+    calls = _backend_calls(monkeypatch, MPSState if engine == "mps" else DenseGroups)
+    counts = run_shots(circuit, RunConfig(engine=engine, seed=5), 64)
+    assert sum(counts.values()) == 64
+    assert calls["copy"] > 20
+    assert calls["alive"] <= math.floor(math.log2(64)) + 2
+
+
+def _snapshot(backend):
+    if isinstance(backend, MPSState):
+        return ([t.tobytes() for t in backend.tensors], list(backend.qubits), backend.centre)
+    return [(list(g.qubits), g.state.tobytes()) for g in backend.owner]
+
+
+@pytest.mark.parametrize("representation", ["wave", "density"])
+def test_dense_copy_is_independent_after_a_merge(representation):
+    backend = DenseGroups([[q] for q in range(4)], representation)
+    density = representation == "density"
+    for ins in (h(0), cx(0, 2), ry(3, 0.4)):
+        backend.apply(step_operator(ins.gate, None, density), ins.targets)
+    before = _snapshot(backend)
+    twin = backend.copy()
+    assert twin.owner[0] is twin.owner[2] and twin.owner[0] is not backend.owner[0]
+    assert twin.owner[1] is not twin.owner[3]
+    assert _snapshot(twin) == before
+    twin.apply(step_operator(cx(2, 3).gate, None, density), (2, 3))
+    twin.collapse(0, 1)
+    assert _snapshot(backend) == before
+    assert _snapshot(twin) != before
+
+
+def test_mps_copy_is_independent_after_routing():
+    backend = MPSState(4)
+    for ins in (h(0), cx(0, 3), ry(2, 0.4), cx(3, 1)):
+        backend.apply(ins.gate.matrix, ins.targets)
+    assert backend.qubits != [0, 1, 2, 3]
+    backend.prob_zero(2)
+    before = _snapshot(backend)
+    twin = backend.copy()
+    assert _snapshot(twin) == before
+    twin.apply(cx(0, 2).gate.matrix, (0, 2))
+    twin.collapse(1, 0)
+    twin.prob_zero(0)
+    assert _snapshot(backend) == before
+    assert _snapshot(twin) != before
 
 
 def test_layers_executed_bounded_by_depth():

@@ -8,13 +8,29 @@ Subcommands:
 
 Diagnostics go to stderr; data goes to stdout or --out. Exit codes:
 0 success, 1 input/parse error, 2 invalid configuration.
+
+`run` writes a state's JSON in blocks of about 1,024 entries. A state of
+at least 2 x _SPAN_MIN_ENTRIES entries is encoded by up to one process
+per usable CPU: forked children encode later spans of blocks into
+unlinked temporary files while this process encodes and writes the first
+span, then it copies their text out in order. Each process holds one
+block's text at a time (about 80 KB for 1,024 amplitudes), and this one
+also a 64 K-character copy chunk; the children read the state array
+copy-on-write. Where os.fork or os.sched_getaffinity is missing (Windows,
+macOS) or one CPU is usable, the state is encoded in this process alone.
+The bytes are the same either way. A failed child, or a closed stdout,
+is one `error:` line and exit 1, and no child outlives main().
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
+import tempfile
+from contextlib import closing, suppress
 from dataclasses import replace
 
 import numpy as np
@@ -95,36 +111,145 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
 # Amplitudes (or matrix entries) per block of the state's JSON text: the
 # output is written block by block, never held whole in memory.
 _BLOCK_ENTRIES = 1 << 10
+# Fewest entries worth an encoder process of their own. Encoding costs
+# about 3 us per entry. On a 2-core host, with 32 MB resident, forking and
+# copying back cost as much as two processes save on 2^13 entries, and
+# 2^14 entries took 44 ms in two processes against 51 ms in one.
+_SPAN_MIN_ENTRIES = 1 << 13
+# Characters per read when copying an encoder process's text out.
+_COPY_CHARS = 1 << 16
 _STATE_MARK = "@state@"
+
+
+def _block_layout(shape, indent: int) -> list:
+    """The JSON text of a block of `shape` entries, as a list whose odd
+    items are the places of its floats.
+
+    The text is what json.dumps(..., indent=2) writes for the block's
+    [re, im] pairs as items of a list on a line indented by `indent`
+    spaces. A float's text is float.__repr__, as the JSON encoder writes
+    it for a finite float.
+    """
+    nested = [0, 0]
+    for size in reversed(shape):
+        nested = [nested] * size
+    text = json.dumps(nested, indent=2)[1:-2].replace("\n", "\n" + " " * indent)
+    pieces = text.split("0")
+    layout = [""] * (2 * len(pieces) - 1)
+    layout[::2] = pieces
+    return layout
+
+
+def _encode_blocks(array: np.ndarray, starts: range, step: int, indent: int):
+    """Yield the text of the blocks of `step` rows that begin at `starts`.
+
+    A join allocates each block's text once. %-formatting a template grows
+    it in steps, and left the heap about 2 MB larger after a few
+    2^17-entry states.
+    """
+    layouts = {}
+    for start in starts:
+        block = np.ascontiguousarray(array[start:start + step], dtype=np.complex128)
+        if block.shape not in layouts:
+            layouts[block.shape] = _block_layout(block.shape, indent)
+        layout = layouts[block.shape]
+        layout[1::2] = map(float.__repr__, block.view(np.float64).reshape(-1).tolist())
+        yield ("," if start else "") + "".join(layout)
+
+
+def _encoder_count(entries: int, blocks: int) -> int:
+    """Processes that encode a state: one per usable CPU, each with at
+    least _SPAN_MIN_ENTRIES entries; one where the host cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, entries // _SPAN_MIN_ENTRIES, blocks))
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on, or None where Linux's /proc is absent."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _fork_encoder(array: np.ndarray, starts: range, step: int, indent: int):
+    """Fork a process that writes the text of the blocks at `starts` to an
+    unlinked temporary file; return its pid and the file.
+
+    The child leaves only through os._exit, so it never flushes the
+    buffers it inherited (stdout, --out) nor runs atexit handlers. Its
+    exit status is 0 once the whole text is in the file.
+    """
+    text = tempfile.TemporaryFile("w+", encoding="ascii")
+    # Linux may start the child on this process's CPU and leave both there
+    # for the whole encode, which then takes twice as long; the child keeps
+    # off it.
+    others = os.sched_getaffinity(0) - {_current_cpu()}
+    try:
+        pid = os.fork()
+    except OSError:
+        text.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with suppress(OSError):  # no other usable CPU: stay unpinned
+                os.sched_setaffinity(0, others)
+            text.writelines(_encode_blocks(array, starts, step, indent))
+            text.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, text
 
 
 def _state_blocks(array: np.ndarray, indent: int):
     """Yield the JSON text of a complex array as nested [re, im] pairs.
 
     The text is what json.dumps(..., indent=2) writes for the array as a
-    value on a line indented by `indent` spaces. Each block is encoded
-    compactly by the C encoder, which writes floats with the same repr as
-    the indenting encoder, and re-indented by replacing its separators,
-    those that close and open the most lists first.
+    value on a line indented by `indent` spaces. The array is cut into
+    blocks of about _BLOCK_ENTRIES entries (whole rows of a matrix), each
+    joined into its layout (_encode_blocks). The blocks are split into one
+    contiguous span per encoder process (_encoder_count). Forked children
+    encode the later spans, each into its own temporary file, while this
+    process encodes and yields the first; then it reaps each child in
+    order and copies its file out in chunks. A child that fails is an
+    error. Every child is reaped on every path, the generator's close()
+    included, so none outlives it.
     """
-    depth = array.ndim + 1  # list levels down to the floats
-    pad = ["\n" + " " * (indent + 2 * level) for level in range(depth + 1)]
-    separators = []
-    for k in range(depth - 1, -1, -1):
-        closes = "".join(pad[lv] + "]" for lv in range(depth - 1, depth - 1 - k, -1))
-        opens = "".join(pad[lv] + "[" for lv in range(depth - k, depth))
-        separators.append(("]" * k + ", " + "[" * k, closes + "," + opens + pad[depth]))
-    head = "".join(pad[lv] + "[" for lv in range(1, depth)) + pad[depth]
-    tail = "".join(pad[lv] + "]" for lv in range(depth - 1, 0, -1))
     step = max(1, _BLOCK_ENTRIES * len(array) // array.size)
-    yield "["
-    for start in range(0, len(array), step):
-        block = array[start:start + step]
-        text = json.dumps(np.stack([block.real, block.imag], -1).tolist())[depth:-depth]
-        for old, new in separators:
-            text = text.replace(old, new)
-        yield ("," if start else "") + head + text + tail
-    yield pad[0] + "]"
+    starts = range(0, len(array), step)
+    workers = _encoder_count(array.size, len(starts))
+    cuts = [len(starts) * k // workers for k in range(workers + 1)]
+    spans = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
+    children = []  # (pid, file) of encoders not yet reaped, in span order
+    try:
+        for span in spans[1:]:
+            children.append(_fork_encoder(array, span, step, indent))
+        yield "["
+        yield from _encode_blocks(array, spans[0], step, indent)
+        while children:
+            pid, text = children[0]
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            with text:
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise SystemExitError(
+                        EXIT_INPUT_ERROR, f"state encoder process failed with status {code}"
+                    )
+                text.seek(0)
+                while chunk := text.read(_COPY_CHARS):
+                    yield chunk
+        yield "\n" + " " * indent + "]"
+    finally:
+        for pid, text in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            text.close()
 
 
 def _report_text(report: dict, state: np.ndarray | None = None):
@@ -146,14 +271,21 @@ def _report_text(report: dict, state: np.ndarray | None = None):
 
 def _write_output(chunks, out_path):
     """Write an iterable of strings to `out_path`, or to stdout if it is None."""
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        if out_path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
-        raise SystemExitError(EXIT_INPUT_ERROR, f"cannot write {out_path}: {exc}")
+        if out_path is None:
+            # Python's recipe for a closed pipe: what is left in stdout's
+            # buffer goes to devnull at exit, not to a second error.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise SystemExitError(EXIT_INPUT_ERROR, f"cannot write {out_path or 'to stdout'}: {exc}")
 
 
 def _cmd_run(args) -> int:
@@ -203,7 +335,8 @@ def _cmd_run(args) -> int:
             chunks = _report_text(report)
     except (ConfigError, BondOverflowError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output(chunks, args.out)
+    with closing(chunks):  # reaps the state encoders if writing fails
+        _write_output(chunks, args.out)
     return 0
 
 

@@ -64,7 +64,7 @@ class Gate:
         d = 2**self.arity
         if mat.shape != (d, d):
             raise ValueError(f"gate {self.name}: matrix shape {mat.shape} != ({d},{d})")
-        if not np.allclose(mat @ mat.conj().T, np.eye(d), atol=UNITARY_ATOL, rtol=0):
+        if not np.abs(mat @ mat.conj().T - np.eye(d)).max() <= UNITARY_ATOL:
             raise ValueError(f"gate {self.name}: matrix is not unitary")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))

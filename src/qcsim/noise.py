@@ -51,7 +51,7 @@ class NoiseChannel:
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         total = sum(op.conj().T @ op for op in ops)
-        if not np.allclose(total, np.eye(2), atol=COMPLETENESS_ATOL, rtol=0):
+        if not np.abs(total - np.eye(2)).max() <= COMPLETENESS_ATOL:
             raise ValueError("Kraus operators do not satisfy sum E_k^+ E_k = I")
         object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(

@@ -62,7 +62,7 @@ class DensityMatrix:
         d = 2**self.num_qubits
         if mat.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got shape {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=NORM_ATOL, rtol=0):
+        if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(mat)
         if abs(tr - 1.0) > NORM_ATOL:

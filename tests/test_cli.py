@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcsim.bench import fidelity_csv, fidelity_sweep
-from qcsim.cli import _report_text, main
+from qcsim import cli
+from qcsim.cli import _report_text, _write_output, main
 from qcsim.engines import RunConfig, run
 from qcsim.qasm import parse_qasm
 
@@ -189,47 +194,87 @@ def _report(array: np.ndarray, state) -> dict:
             "classical_bits": [0, 1], "layers_executed": 3}
 
 
+def _chain_qasm(path, n):
+    """An n-qubit circuit of u3 layers and a CX chain, measuring qubit 0."""
+    lines = ['OPENQASM 2.0;', f'qreg q[{n}];', 'creg c[1];']
+    lines += [f'u3({0.3 * q},{0.2},{0.1 * q}) q[{q}];' for q in range(n)]
+    lines += [f'cx q[{q}],q[{q + 1}];' for q in range(n - 1)]
+    lines += ['measure q[0] -> c[0];']
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestStateSerialization:
     """The block writer must give exactly the bytes of json.dumps(indent=2)."""
 
     # Entries whose repr is easy to get wrong.
     SPECIAL = [-0.0, 5e-324, 1e300, 1.0, -1e-300, 0.1]
 
-    def _check(self, shape, seed):
+    @staticmethod
+    def _force_encoders(monkeypatch, workers):
+        """Encode in up to `workers` processes, and return the list of forks.
+
+        A block is 4 entries (a matrix row, if longer), there is no size
+        threshold, and `workers` CPUs are usable, so every state of at
+        least that many blocks fans out.
+        """
+        if workers > 1:
+            monkeypatch.setattr(cli, "_BLOCK_ENTRIES", 4)
+            monkeypatch.setattr(cli, "_SPAN_MIN_ENTRIES", 1)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        forks = []
+        fork_encoder = cli._fork_encoder
+        monkeypatch.setattr(cli, "_fork_encoder", lambda *a: forks.append(a) or fork_encoder(*a))
+        return forks
+
+    def _array(self, shape, seed):
         rng = np.random.default_rng(seed)
         array = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         flat = array.reshape(-1)
         for i, x in enumerate(self.SPECIAL[: flat.size]):
             flat[i] = complex(x, self.SPECIAL[-1 - i])
-        oracle = json.dumps(_report(array, _complex_pairs(array)), indent=2, sort_keys=True)
-        assert "".join(_report_text(_report(array, "@state@"), array)) == oracle + "\n"
+        return array
+
+    def _check(self, shape, seed, monkeypatch, capsys, tmp_path):
+        """Oracle bytes in memory, on stdout and in --out, in 1 to 3 processes."""
+        array = self._array(shape, seed)
+        oracle = json.dumps(_report(array, _complex_pairs(array)), indent=2, sort_keys=True) + "\n"
+        report = _report(array, "@state@")
+        out = tmp_path / "state.json"
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                forks = self._force_encoders(patch, workers)
+                assert "".join(_report_text(report, array)) == oracle
+                _write_output(_report_text(report, array), None)
+                assert capsys.readouterr().out == oracle
+                _write_output(_report_text(report, array), str(out))
+                assert out.read_text() == oracle
+                step = max(1, cli._BLOCK_ENTRIES * len(array) // array.size)
+                blocks = -(-len(array) // step)
+                spans = min(workers, blocks) if hasattr(os, "fork") else 1
+                assert len(forks) == 3 * (spans - 1), workers
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_wave_matches_oracle(self, n):
+    def test_wave_matches_oracle(self, n, monkeypatch, capsys, tmp_path):
         # up to 2^10 amplitudes fit one block; 11 and 12 qubits span several
-        self._check(2**n, n)
+        self._check(2**n, n, monkeypatch, capsys, tmp_path)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_density_matches_oracle(self, n):
+    def test_density_matches_oracle(self, n, monkeypatch, capsys, tmp_path):
         # 5 qubits fill exactly one block of rows; 6 qubits span several
-        self._check((2**n, 2**n), n)
+        self._check((2**n, 2**n), n, monkeypatch, capsys, tmp_path)
+
+    def test_serial_without_fork(self, monkeypatch, capsys, tmp_path):
+        # forced fan-out settings, but no os.fork: the same bytes in one process
+        monkeypatch.delattr(os, "fork")
+        self._check(2**9, 9, monkeypatch, capsys, tmp_path)
+        self._check((2**4, 2**4), 4, monkeypatch, capsys, tmp_path)
 
     @pytest.mark.parametrize("n, repr_", [(11, "wave"), (3, "density"), (6, "density")])
-    def test_stdout_and_out_give_oracle_bytes(self, tmp_path, capsys, n, repr_):
-        lines = ['OPENQASM 2.0;', f'qreg q[{n}];', 'creg c[1];']
-        lines += [f'u3({0.3 * q},{0.2},{0.1 * q}) q[{q}];' for q in range(n)]
-        lines += [f'cx q[{q}],q[{q + 1}];' for q in range(n - 1)]
-        lines += ['measure q[0] -> c[0];']
-        path = tmp_path / "c.qasm"
-        path.write_text("\n".join(lines) + "\n")
-        argv = ["run", str(path), "--repr", repr_, "--seed", "2"]
-        assert main(argv) == 0
-        stdout = capsys.readouterr().out
-        out = tmp_path / "out.json"
-        assert main(argv + ["--out", str(out)]) == 0
-        assert out.read_text() == stdout
-
-        result = run(parse_qasm(path.read_text()), RunConfig(representation=repr_, seed=2))
+    def test_stdout_and_out_give_oracle_bytes(self, tmp_path, capsys, monkeypatch, n, repr_):
+        path = _chain_qasm(tmp_path / "c.qasm", n)
+        argv = ["run", path, "--repr", repr_, "--seed", "2"]
+        result = run(parse_qasm(Path(path).read_text()), RunConfig(representation=repr_, seed=2))
         state = result.final_state
         array = state.amplitudes if repr_ == "wave" else state.matrix
         key = "amplitudes" if repr_ == "wave" else "matrix"
@@ -244,7 +289,82 @@ class TestStateSerialization:
             ],
             "layers_executed": result.layers_executed,
         }
-        assert stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        oracle = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        out = tmp_path / "out.json"
+        for workers in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                forks = self._force_encoders(patch, workers)
+                assert main(argv) == 0
+                assert capsys.readouterr() == (oracle, "")
+                assert main(argv + ["--out", str(out)]) == 0
+                assert out.read_text() == oracle
+                assert len(forks) == 2 * (workers - 1)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failing_encoder_is_one_error_line(self, tmp_path, capsys, monkeypatch, to_file):
+        monkeypatch.setattr(cli, "_SPAN_MIN_ENTRIES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+        encode_blocks = cli._encode_blocks
+
+        def failing_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("encoder broke")
+            return encode_blocks(*args)
+
+        monkeypatch.setattr(cli, "_encode_blocks", failing_in_child)
+        argv = ["run", _chain_qasm(tmp_path / "c.qasm", 11)]
+        if to_file:
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: state encoder process failed") and err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("stop", ["forked", "own span", "copy"])
+    def test_close_halfway_leaves_no_child(self, monkeypatch, workers, stop):
+        # 1024 blocks: "[" and the parent's span come first, then the
+        # first child's text in chunks
+        forks = self._force_encoders(monkeypatch, workers)
+        chunks = cli._state_blocks(self._array(2**12, 0), 2)
+        taken = {"forked": 1, "own span": 100, "copy": 1024 // workers + 2}[stop]
+        for _ in range(taken):
+            next(chunks)
+        chunks.close()
+        assert len(forks) == workers - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n, read", [(17, 10), (2, 0)])
+    def test_closed_stdout_is_one_error_line(self, tmp_path, n, read):
+        # `qcsim run ... | head -c 10` in three encoder processes, and a
+        # report small enough to sit in stdout's buffer until the reader has
+        # gone; the script exits 99 if any child outlives main
+        script = (
+            "import os, sys\n"
+            "from qcsim import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(code)\n"
+            "sys.exit(99)\n"
+        )
+        path = _chain_qasm(tmp_path / "c.qasm", n)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as in a plain shell
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "run", path, "--engine", "mps"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err.startswith("error: cannot write to stdout: [Errno 32]") and err.count("\n") == 1
 
 
 class TestRandom:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qcsim.gates import GATE_SIGNATURES, apply_on_qubits, gate_tensor_on, make_gate
+from qcsim.gates import (
+    GATE_SIGNATURES,
+    UNITARY_ATOL,
+    Gate,
+    apply_on_qubits,
+    gate_tensor_on,
+    make_gate,
+)
 from qcsim.noise import step_operator
 
 
@@ -45,6 +52,21 @@ def test_every_gate_is_unitary():
         assert np.allclose(
             gate.matrix @ gate.matrix.conj().T, np.eye(d), atol=1e-12
         ), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("delta", [0.5, 0.99, -2.0, 2.0, np.nan, np.inf])
+def test_unitarity_check_is_allclose_rule(delta):
+    # (U U^+)[0, 0] is off by delta * UNITARY_ATOL; NaN and inf never pass
+    mat = np.eye(2, dtype=np.complex128)
+    mat[0, 0] = np.sqrt(1 + delta * UNITARY_ATOL)
+    accepted = np.allclose(mat @ mat.conj().T, np.eye(2), atol=UNITARY_ATOL, rtol=0)
+    assert accepted == (abs(delta) < 1)
+    if accepted:
+        Gate("U", 1, (), mat)
+    else:
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate("U", 1, (), mat)
 
 
 def test_unknown_gate_rejected():

@@ -5,6 +5,7 @@ import pytest
 
 from qcsim.gates import embed_operator, gate_tensor_on, make_gate
 from qcsim.noise import (
+    COMPLETENESS_ATOL,
     NoiseChannel,
     NoiseSpec,
     amplitude_damping,
@@ -45,6 +46,19 @@ class TestChannelConstruction:
     def test_incomplete_kraus_set_rejected(self):
         with pytest.raises(ValueError):
             NoiseChannel("custom", 0.5, (np.eye(2) * 0.5,))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [0.5, 0.99, -2.0, 2.0, np.nan, np.inf])
+    def test_completeness_check_is_allclose_rule(self, delta):
+        # sum E^+ E is off from I in its [0, 0] entry by delta * COMPLETENESS_ATOL
+        op = np.diag([np.sqrt(1 + delta * COMPLETENESS_ATOL), 1.0]).astype(complex)
+        accepted = np.allclose(op.conj().T @ op, np.eye(2), atol=COMPLETENESS_ATOL, rtol=0)
+        assert accepted == (abs(delta) < 1)
+        if accepted:
+            NoiseChannel("custom", 0.5, (op,))
+        else:
+            with pytest.raises(ValueError, match="sum E_k"):
+                NoiseChannel("custom", 0.5, (op,))
 
     def test_bad_slot_rejected(self):
         with pytest.raises(ValueError):

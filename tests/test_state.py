@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcsim.state import (
+    NORM_ATOL,
     DensityMatrix,
     PureState,
     fidelity,
@@ -55,6 +56,19 @@ class TestInvariants:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [0.5, 0.99, -2.0, 2.0, np.nan, np.inf])
+    def test_hermiticity_check_is_allclose_rule(self, delta):
+        # rho[1, 0] is off from conj(rho[0, 1]) by delta * NORM_ATOL
+        mat = np.array([[0.5, 0.25j], [-0.25j + delta * NORM_ATOL, 0.5]])
+        accepted = np.allclose(mat, mat.conj().T, atol=NORM_ATOL, rtol=0)
+        assert accepted == (abs(delta) < 1)
+        if accepted:
+            DensityMatrix(1, mat)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityMatrix(1, mat)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):

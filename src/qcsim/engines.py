@@ -23,7 +23,8 @@ The engine selects the backend the loop drives:
   contracted into the state on its target axes only.
 * ``depth``  — the same dense backend started from one group per qubit:
   unentangled qubits stay in independent groups, merged only when a
-  two-qubit gate spans two groups.
+  two-qubit gate spans two groups. Merges do not reorder qubits; the
+  export does, once.
 * ``mps``    — a matrix product state (`MPSState`): truncated-SVD splits,
   SWAPs that are never undone for distant pairs, and measurements read at
   the chain's orthogonality centre; wave functions only.
@@ -36,6 +37,7 @@ final state; `_schedule` builds each gate's ``op`` once per circuit.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 
@@ -100,6 +102,12 @@ def _zero_array(num_qubits: int, representation: str) -> np.ndarray:
     return state
 
 
+def _check_memory(size: int, what: str):
+    """Raise ConfigError if `size` bytes for `what` exceed this host's physical memory."""
+    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ConfigError(f"{what} needs {size} bytes, more than this host's memory")
+
+
 def _backend(circuit: Circuit, config: RunConfig):
     """A backend in |0...0> for the config's engine and representation."""
     if circuit.has_noise() and config.representation != DENSITY:
@@ -108,10 +116,8 @@ def _backend(circuit: Circuit, config: RunConfig):
             "wave-function mode cannot represent mixed states"
         )
     n = circuit.num_qubits
-    size = 16 * 2 ** (n if config.representation == WAVE else 2 * n)
-    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise ConfigError(f"a {n}-qubit {config.representation} state needs "
-                          f"{size} bytes, more than this host's memory")
+    _check_memory(16 * 2 ** (n if config.representation == WAVE else 2 * n),
+                  f"a {n}-qubit {config.representation} state")
     if config.engine == MPS:
         return MPSState(
             n,
@@ -223,7 +229,7 @@ def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
 class _Group:
     """An independent block of qubits with its own small raw state.
 
-    qubits are kept sorted ascending; qubits[j] occupies local bit j.
+    qubits are kept in merge order, unsorted; qubits[j] occupies local bit j.
     """
 
     qubits: list
@@ -233,34 +239,20 @@ class _Group:
         return self.qubits.index(qubit)
 
 
-def _permute_qubits(state: np.ndarray, order) -> np.ndarray:
-    """Reorder a raw state's qubits so old local bit order[j] becomes bit j."""
-    m = len(order)
-    # axis m-1-j of the reshaped tensor is local bit j; build the transpose
-    # that moves old bit order[j] into position j.
-    axes = [m - 1 - order[m - 1 - a] for a in range(m)]
-    if state.ndim == 2:
-        axes += [a + m for a in axes]
-    return state.reshape([2] * (m * state.ndim)).transpose(axes).reshape(state.shape)
-
-
 def _merge_groups(a: _Group, b: _Group) -> _Group:
-    combined = np.kron(b.state, a.state)  # a occupies the low bits
-    qubits = a.qubits + b.qubits  # current local bit order, ascending per block
-    target = sorted(qubits)
-    order = [qubits.index(q) for q in target]
-    return _Group(target, _permute_qubits(combined, order))
+    """One group of both, with a's qubits on the low local bits; nothing moves."""
+    return _Group(a.qubits + b.qubits, np.kron(b.state, a.state))
 
 
 class DenseGroups:
     """Dense backend: raw state vectors or density matrices over qubit groups.
 
     Each group holds the state of its qubits, unentangled with the other
-    groups; a two-qubit gate that spans two groups merges them first.
-    Started from one group per qubit (the depth engine), unentangled qubits
-    stay factored; started from one group of all qubits (the simple engine),
-    every gate is contracted into the full state. States are carried
-    unvalidated and checked once, by `export`.
+    groups; a two-qubit gate that spans two groups merges them first, and
+    no merge moves a qubit. Started from one group per qubit (the depth
+    engine), unentangled qubits stay factored; started from one group of all
+    qubits (the simple engine), every gate is contracted into the full state.
+    States are carried unvalidated, and `export` reorders and checks once.
     """
 
     def __init__(self, blocks, representation: str):
@@ -278,11 +270,14 @@ class DenseGroups:
                 self.owner[q] = g
         g.state = apply_on_qubits(g.state, op, [g.local(q) for q in targets])
 
+    def _groups(self):
+        """Each distinct group once, in order of its lowest qubit."""
+        return {id(g): g for g in self.owner}.values()
+
     def copy(self) -> DenseGroups:
         """An independent copy: one new group per group, each array copied once."""
         new = object.__new__(DenseGroups)
-        groups = {id(g): g for g in self.owner}
-        copies = {key: _Group(list(g.qubits), g.state.copy()) for key, g in groups.items()}
+        copies = {id(g): _Group(list(g.qubits), g.state.copy()) for g in self._groups()}
         new.owner = [copies[id(g)] for g in self.owner]
         return new
 
@@ -295,15 +290,13 @@ class DenseGroups:
         g.state = st.collapse(g.state, g.local(qubit), outcome)
 
     def export(self):
-        """Merge the groups, in order of their lowest qubit, into one validated state."""
-        full = self.owner[0]
-        for q, g in enumerate(self.owner):
-            if q > 0 and g.qubits[0] == q:
-                full = _merge_groups(full, g)
+        """Merge the groups in order of their lowest qubit, reorder once, and validate."""
+        full = functools.reduce(_merge_groups, self._groups())
+        state = st.to_qubit_order(full.state, full.qubits)
         n = len(full.qubits)
-        if full.state.ndim == 1:
-            return PureState(n, full.state)
-        return DensityMatrix(n, st.hermitize(full.state))
+        if state.ndim == 1:
+            return PureState(n, state)
+        return DensityMatrix(n, st.hermitize(state))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +316,10 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    backend = _backend(circuit, config)
     steps, _ = _schedule(circuit, config)
+    # the draws, and the shot indices at the root of the walk
+    _check_memory(8 * shots * (_measurements(steps) + 1), f"sampling {shots} shots")
+    backend = _backend(circuit, config)
     draws = np.empty((shots, _measurements(steps)))
     for i in range(shots):
         seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .state import bit_axes
+
 UNITARY_ATOL = 1e-12
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -147,15 +149,11 @@ def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
 def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
     """Contract `op` into a raw state on the axes of `targets`, in one pass.
 
-    Qubit q is bit axis n-1-q of a 2^n vector, and row axis n-1-q and
-    column axis 2n-1-q of a 2^n x 2^n density matrix, on which `op` is a
+    The axes are those of `state.bit_axes`; on a density matrix, `op` is a
     superoperator on the rows then the columns (`noise.step_operator`).
     """
     n = state.shape[0].bit_length() - 1
-    axes = [n - 1 - q for q in targets]
-    if state.ndim == 2:
-        axes += [n + a for a in axes]
-    return apply_local(state, op, axes)
+    return apply_local(state, op, bit_axes(n, targets, state.ndim))
 
 
 def embed_operator(mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:

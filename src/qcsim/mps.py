@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import PureState
+from .state import PureState, to_qubit_order
 
 _SWAP_4 = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
@@ -132,14 +132,12 @@ class MPSState:
         return self.to_pure_state()
 
     def to_pure_state(self):
-        """Contract the chain in site order and sort its axes by qubit; unscaled."""
+        """Contract the chain in site order and put it in qubit order; unscaled."""
         acc = self.tensors[0].reshape(2, -1)
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=(-1, 0))
-        acc = acc.reshape([2] * self.num_qubits)
-        # numpy's C order makes axis 0 most significant; qubit 0 must be least.
-        axes = [self.qubits.index(q) for q in reversed(range(self.num_qubits))]
-        return PureState(self.num_qubits, acc.transpose(axes).reshape(-1))
+        # Site 0 is the most significant bit of the contracted vector.
+        return PureState(self.num_qubits, to_qubit_order(acc.reshape(-1), self.qubits[::-1]))
 
 
 def _swap_gate_qubits(matrix):

@@ -360,11 +360,7 @@ def parse_qasm(source: str) -> Circuit:
 
 
 # name mapping for emission; U3 stays u3 (u1/u2 are already lowered on parse)
-_EMIT_NAMES = {
-    "I": "id", "X": "x", "Y": "y", "Z": "z", "H": "h", "S": "s", "Sdg": "sdg",
-    "T": "t", "Tdg": "tdg", "RX": "rx", "RY": "ry", "RZ": "rz", "U3": "u3",
-    "CX": "cx", "CZ": "cz", "SWAP": "swap",
-}
+_EMIT_NAMES = {gate: name for name, (gate, _) in _QASM_GATES.items() if name not in ("u1", "u2")}
 
 
 def emit_qasm(circuit: Circuit) -> str:

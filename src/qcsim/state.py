@@ -36,7 +36,7 @@ class PureState:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |psi| = {norm}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -65,10 +65,10 @@ class DensityMatrix:
         if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > NORM_ATOL:
+        if not abs(tr - 1.0) <= NORM_ATOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
         eigs = np.linalg.eigvalsh(mat)
-        if eigs.min() < -NORM_ATOL:
+        if not eigs.min() >= -NORM_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", mat)
 
@@ -136,41 +136,37 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep = list(keep)
     n = rho.num_qubits
     _check_keep(keep, n)
-    # Reshape to a rank-2n tensor; axis n-1-q indexes the row bit of qubit q
-    # and axis 2n-1-q the column bit.
-    t = rho.matrix.reshape([2] * (2 * n))
-    row = [0] * n
-    col = [0] * n
-    out_row = []
-    out_col = []
-    next_label = 0
-    for q in range(n):
-        row[q] = next_label
-        next_label += 1
-    for q in range(n):
-        if q in keep:
-            col[q] = next_label
-            next_label += 1
-        else:
-            col[q] = row[q]  # contract traced qubits
-    for q in reversed(range(n)):
-        if q in keep:
-            out_row.append(row[q])
-    for q in reversed(range(n)):
-        if q in keep:
-            out_col.append(col[q])
-    subscripts = (
-        [row[q] for q in reversed(range(n))] + [col[q] for q in reversed(range(n))]
-    )
-    reduced = np.einsum(t, subscripts, out_row + out_col)
+    # Axis n-1-q of the rank-2n tensor is qubit q's row bit, labelled q, and
+    # axis 2n-1-q its column bit: labelled n + j for keep[j], and q (so that
+    # it is contracted with the row bit) for a traced qubit.
+    rows = list(reversed(range(n)))
+    cols = [n + keep.index(q) if q in keep else q for q in rows]
+    out = keep[::-1] + [n + j for j in reversed(range(len(keep)))]
+    reduced = np.einsum(rho.matrix.reshape([2] * (2 * n)), rows + cols, out)
     m = len(keep)
     return DensityMatrix(m, reduced.reshape(2**m, 2**m))
 
 
-def _projector_diag(num_qubits: int, qubit: int, outcome: int) -> np.ndarray:
-    """Diagonal of the projector onto `outcome` for one qubit, as a bool mask."""
-    idx = np.arange(2**num_qubits)
-    return ((idx >> qubit) & 1) == outcome
+def bit_axes(num_qubits: int, qubits, ndim: int) -> list:
+    """The axes of `qubits` in a raw state reshaped to [2] * (ndim * num_qubits).
+
+    Qubit q is bit axis n-1-q of a 2^n vector, and row axis n-1-q and
+    column axis 2n-1-q of a 2^n x 2^n density matrix.
+    """
+    axes = [num_qubits - 1 - q for q in qubits]
+    return axes + [num_qubits + a for a in axes] if ndim == 2 else axes
+
+
+def to_qubit_order(state: np.ndarray, qubits) -> np.ndarray:
+    """Reorder a raw vector or density matrix whose bit j holds qubits[j] so bit q holds q.
+
+    Returns `state` itself, uncopied, when the order is already the identity.
+    """
+    n = len(qubits)
+    if qubits == list(range(n)):
+        return state
+    axes = bit_axes(n, [qubits.index(q) for q in reversed(range(n))], state.ndim)
+    return state.reshape([2] * (n * state.ndim)).transpose(axes).reshape(state.shape)
 
 
 def measure_qubit(state, qubit: int, rng_sample: float):
@@ -209,22 +205,33 @@ def sample_outcomes(p0: float, rng_samples: np.ndarray):
     return p0, ones
 
 
+def _halves(state: np.ndarray, qubit: int) -> np.ndarray:
+    """A (high, 2, low) view of a vector, or (high, 2, ·, 2, low) of a matrix, on `qubit`."""
+    low = 1 << qubit
+    high = state.shape[0] // (2 * low)
+    if state.ndim == 1:
+        return state.reshape(high, 2, low)
+    return state.reshape(high, 2, low * high, 2, low)
+
+
 def prob_zero(state: np.ndarray, qubit: int) -> float:
     """Probability that `qubit` reads 0 in a raw state vector or density matrix."""
-    mask0 = _projector_diag(state.shape[0].bit_length() - 1, qubit, 0)
     if state.ndim == 1:
-        return float(np.sum(np.abs(state[mask0]) ** 2))
-    return float(np.real(np.sum(np.diag(state)[mask0])))
+        return float(np.sum(np.abs(_halves(state, qubit)[:, 0]) ** 2))
+    return float(np.real(np.sum(_halves(np.diagonal(state), qubit)[:, 0])))
 
 
 def collapse(state: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
     """Project a raw state onto `qubit` = outcome and renormalize, unvalidated."""
-    mask = _projector_diag(state.shape[0].bit_length() - 1, qubit, outcome)
+    kept = np.zeros_like(state)
+    src, dst = _halves(state, qubit), _halves(kept, qubit)
     if state.ndim == 1:
-        amps = np.where(mask, state, 0.0)
-        return amps / np.linalg.norm(amps)
-    mat = np.where(np.outer(mask, mask), state, 0.0)
-    return mat / np.real(np.trace(mat))
+        dst[:, outcome] = src[:, outcome]
+        kept /= np.linalg.norm(kept)
+    else:
+        dst[:, outcome, :, outcome] = src[:, outcome, :, outcome]
+        kept /= np.real(np.trace(kept))
+    return kept
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -239,7 +246,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     values from roundoff are clamped to zero.
     """
     eigs, vecs = np.linalg.eigh(mat)
-    if eigs.min() < -NORM_ATOL:
+    if not eigs.min() >= -NORM_ATOL:
         raise ValueError(f"matrix is not PSD: eigenvalue {eigs.min()}")
     eigs = np.clip(eigs, 0.0, None)
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T

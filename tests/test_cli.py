@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcsim.bench import fidelity_csv, fidelity_sweep
-from qcsim import cli
+from qcsim import cli, engines
 from qcsim.cli import _report_text, _write_output, main
 from qcsim.engines import RunConfig, run
 from qcsim.qasm import parse_qasm
@@ -171,6 +171,14 @@ class TestRun:
         assert main(["run", str(path), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a 70-qubit ") and err.count("\n") == 1
+
+    def test_shots_larger_than_memory_exits_2(self, bell_path, capsys, monkeypatch):
+        # The check comes before the draws, or even the backend, are allocated.
+        monkeypatch.setattr(engines, "_backend", None)
+        assert main(["run", bell_path, "--shots", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampling 1000000000000 shots needs ")
+        assert err.count("\n") == 1
 
     def test_non_utf8_noise_config_exits_1(self, bell_path, tmp_path, capsys):
         noise_path = tmp_path / "noise.json"

@@ -127,6 +127,13 @@ class TestMps:
         simple = run_simple(c, RunConfig())
         assert 1 - state_fidelity(result.final_state, simple.final_state) < 1e-10
 
+    def test_nan_centre_tensor_fails_export(self):
+        mps = MPSState(3)
+        mps.apply(make_gate("CX").matrix, (0, 2))
+        mps.tensors[mps.centre][0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="not normalized"):
+            mps.export()
+
     def test_density_representation_rejected(self):
         with pytest.raises(ConfigError):
             run_mps(bell_circuit(), RunConfig(representation="density", engine="mps"))
@@ -145,23 +152,21 @@ class TestMps:
             assert 1 - state_fidelity(mps.final_state, simple.final_state) < 1e-10
 
     def test_routed_circuits_match_simple_oracle(self):
+        # The mps and depth engines both keep qubits off their sorted order
+        # until the export; any pair of qubits, in either order, must work.
         rng = np.random.default_rng(8)
+        noise = NoiseSpec.uniform("depolarizing", 0.05, 2)
         for _ in range(40):
             c = _routed_circuit(rng, int(rng.integers(2, 10)))
             stop = int(rng.integers(1, depth(c) + 1))
             for max_depth in (None, stop):
                 config = RunConfig(seed=int(rng.integers(1 << 30)), max_depth=max_depth)
-                mps = run_mps(c, config)
                 simple = run_simple(c, config)
-                assert np.abs(mps.final_state.amplitudes
-                              - simple.final_state.amplitudes).max() < 1e-10
-                assert mps.classical_bits == simple.classical_bits
-                assert mps.layers_executed == simple.layers_executed
-                assert len(mps.measurements) == len(simple.measurements)
-                for a, b in zip(mps.measurements, simple.measurements):
-                    assert (a.qubit_index, a.classical_bit, a.outcome) == (
-                        b.qubit_index, b.classical_bit, b.outcome)
-                    assert abs(a.probability_of_outcome - b.probability_of_outcome) < 1e-12
+                _assert_same_run(run_mps(c, config), simple)
+                _assert_same_run(run_depth(c, config), simple)
+                noisy = c.with_global_noise(noise)
+                density = replace(config, representation="density")
+                _assert_same_run(run_depth(noisy, density), run_simple(noisy, density))
 
     def test_canonical_form_holds_after_every_step(self):
         rng = np.random.default_rng(9)
@@ -213,6 +218,22 @@ class TestMps:
         mps.tensors[mps.centre] = mps.tensors[mps.centre] * 1.1
         with pytest.raises(ValueError, match="not normalized"):
             mps.export()
+
+
+def _assert_same_run(result, oracle):
+    """States within 1e-10; identical bits, outcomes and layers."""
+    if isinstance(oracle.final_state, PureState):
+        got, want = result.final_state.amplitudes, oracle.final_state.amplitudes
+    else:
+        got, want = result.final_state.matrix, oracle.final_state.matrix
+    assert np.abs(got - want).max() < 1e-10
+    assert result.classical_bits == oracle.classical_bits
+    assert result.layers_executed == oracle.layers_executed
+    assert len(result.measurements) == len(oracle.measurements)
+    for a, b in zip(result.measurements, oracle.measurements):
+        assert (a.qubit_index, a.classical_bit, a.outcome) == (
+            b.qubit_index, b.classical_bit, b.outcome)
+        assert abs(a.probability_of_outcome - b.probability_of_outcome) < 1e-12
 
 
 def _routed_circuit(rng, n):
@@ -271,6 +292,11 @@ class TestDepthEngine:
         result = run_depth(c, RunConfig(representation="density", engine="depth"))
         simple = run_simple(c, RunConfig(representation="density"))
         assert np.abs(result.final_state.matrix - simple.final_state.matrix).max() < 1e-10
+
+    def test_export_in_qubit_order_does_not_copy(self):
+        backend = DenseGroups([[0, 1, 2]], "wave")
+        backend.apply(make_gate("CX").matrix, (2, 0))
+        assert backend.export().amplitudes is backend.owner[0].state
 
 
 class TestCrossEngine:

@@ -5,6 +5,7 @@ from qcsim.state import (
     NORM_ATOL,
     DensityMatrix,
     PureState,
+    _psd_sqrt,
     fidelity,
     measure_qubit,
     partial_trace,
@@ -46,8 +47,9 @@ def brute_force_partial_trace(mat, num_qubits, keep):
 
 class TestInvariants:
     def test_rejects_unnormalized_vector(self):
-        with pytest.raises(ValueError):
-            PureState(1, np.array([1.0, 1.0]))
+        for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                PureState(1, np.array(amps))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -71,12 +73,18 @@ class TestInvariants:
                 DensityMatrix(1, mat)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(1, np.eye(2))
+        for diag in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(ValueError):
+                DensityMatrix(1, np.diag(diag))
 
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("diag", [[1.5, -0.5], [np.nan, 1.0]])
+    def test_psd_sqrt_rejects_negative_or_nan_eigenvalues(self, diag):
+        with pytest.raises(ValueError, match="not PSD"):
+            _psd_sqrt(np.diag(diag))
 
 
 class TestPureToDensity:

@@ -15,27 +15,11 @@ from .circuit import (
     measure,
     random_circuit,
 )
-from .engines import RunConfig, RunResult, run, run_depth, run_mps, run_shots, run_simple
-from .gates import Gate, gate_tensor_on, make_gate
-from .noise import (
-    NoiseChannel,
-    NoiseSpec,
-    amplitude_damping,
-    apply_noisy_gate,
-    dephasing,
-    depolarizing,
-)
+from .engines import RunConfig, RunResult, run, run_shots
+from .gates import Gate, make_gate
+from .noise import NoiseChannel, NoiseSpec, amplitude_damping, dephasing, depolarizing
 from .qasm import ParseError, emit_qasm, parse_qasm
-from .state import (
-    DensityMatrix,
-    MeasurementRecord,
-    PureState,
-    fidelity,
-    measure_qubit,
-    partial_trace,
-    pure_to_density,
-    tensor_product,
-)
+from .state import DensityMatrix, MeasurementRecord, PureState, fidelity
 
 __all__ = [
     "Circuit",
@@ -50,7 +34,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "amplitude_damping",
-    "apply_noisy_gate",
     "circuit_from_json",
     "circuit_to_json",
     "dephasing",
@@ -59,20 +42,12 @@ __all__ = [
     "emit_qasm",
     "fidelity",
     "gate_app",
-    "gate_tensor_on",
     "make_gate",
     "measure",
-    "measure_qubit",
     "parse_qasm",
-    "partial_trace",
-    "pure_to_density",
     "random_circuit",
     "run",
-    "run_depth",
-    "run_mps",
     "run_shots",
-    "run_simple",
-    "tensor_product",
 ]
 
 __version__ = "0.1.0"

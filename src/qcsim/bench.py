@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .circuit import random_circuit
-from .engines import DENSITY, SIMPLE, WAVE, RunConfig, run, run_simple
+from .engines import DENSITY, SIMPLE, WAVE, RunConfig, run
 from .noise import NoiseSpec
 from .state import fidelity
 
@@ -70,13 +70,13 @@ def fidelity_sweep(
     """Fidelity of the noisy output against the noiseless output of one circuit."""
     circuit = random_circuit(num_qubits, depth, seed)
     config = RunConfig(representation=DENSITY, engine=SIMPLE, seed=seed)
-    baseline = run_simple(circuit, config).final_state
+    baseline = run(circuit, config).final_state
     points = []
     for epsilon in epsilons:
         noisy_circuit = circuit.with_global_noise(
             NoiseSpec.uniform(noise_kind, epsilon, arity=2)
         )
-        noisy = run_simple(noisy_circuit, config).final_state
+        noisy = run(noisy_circuit, config).final_state
         points.append(
             FidelityPoint(
                 noise_kind, float(epsilon), fidelity(baseline, noisy),

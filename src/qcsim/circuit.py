@@ -16,6 +16,7 @@ numpy's default PCG64 generator seeded with the given seed.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +48,7 @@ class Instruction:
         if self.kind == GATE_APP:
             if self.gate is None:
                 raise ValueError("gate application needs a gate")
-            targets = tuple(int(t) for t in self.targets)
+            targets = tuple(operator.index(t) for t in self.targets)
             if len(set(targets)) != len(targets):
                 raise ValueError("targets must be distinct")
             if len(targets) != self.gate.arity:
@@ -55,13 +56,15 @@ class Instruction:
             object.__setattr__(self, "targets", targets)
             check_slots(self.gate, self.noise)
             if self.condition is not None:
-                bit, value = self.condition
+                bit, value = map(operator.index, self.condition)
                 if value not in (0, 1):
                     raise ValueError("condition value must be 0 or 1")
-                object.__setattr__(self, "condition", (int(bit), int(value)))
+                object.__setattr__(self, "condition", (bit, value))
         elif self.kind == MEASURE:
             if self.qubit is None or self.classical_bit is None:
                 raise ValueError("measurement needs a qubit and a classical bit")
+            object.__setattr__(self, "qubit", operator.index(self.qubit))
+            object.__setattr__(self, "classical_bit", operator.index(self.classical_bit))
         else:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
 
@@ -94,6 +97,8 @@ class Circuit:
     global_noise: NoiseSpec | None = None
 
     def __post_init__(self):
+        for name in ("num_qubits", "num_clbits"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if self.num_clbits < 0:

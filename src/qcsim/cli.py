@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import signal
 import sys
@@ -87,8 +88,8 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
             )
         overrides: dict[int, dict] = {}
         for entry in doc.get("overrides", []):
-            slots = overrides.setdefault(int(entry["instruction"]), {})
-            slots[int(entry["slot"])] = channel_from_kind(
+            slots = overrides.setdefault(operator.index(entry["instruction"]), {})
+            slots[operator.index(entry["slot"])] = channel_from_kind(
                 entry["kind"], entry["epsilon"]
             )
         if overrides:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class RunConfig:
     engine: str = SIMPLE
     max_depth: int | None = None
     mps_max_bond: int | None = None
-    mps_truncation_threshold: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -119,11 +118,7 @@ def _backend(circuit: Circuit, config: RunConfig):
     _check_memory(16 * 2 ** (n if config.representation == WAVE else 2 * n),
                   f"a {n}-qubit {config.representation} state")
     if config.engine == MPS:
-        return MPSState(
-            n,
-            max_bond=config.mps_max_bond,
-            truncation_threshold=config.mps_truncation_threshold,
-        )
+        return MPSState(n, max_bond=config.mps_max_bond)
     if config.engine == DEPTH:
         return DenseGroups([[q] for q in range(n)], config.representation)
     return DenseGroups([list(range(n))], config.representation)
@@ -206,18 +201,6 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     records = []
     [(leaf, clbits, _)] = _execute(backend, steps, draws, circuit.num_clbits, records)
     return RunResult(leaf.export(), tuple(clbits), tuple(records), stop)
-
-
-def run_simple(circuit: Circuit, config: RunConfig) -> RunResult:
-    return run(circuit, replace(config, engine=SIMPLE))
-
-
-def run_mps(circuit: Circuit, config: RunConfig) -> RunResult:
-    return run(circuit, replace(config, engine=MPS))
-
-
-def run_depth(circuit: Circuit, config: RunConfig) -> RunResult:
-    return run(circuit, replace(config, engine=DEPTH))
 
 
 # ---------------------------------------------------------------------------

@@ -154,41 +154,3 @@ def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
     """
     n = state.shape[0].bit_length() - 1
     return apply_local(state, op, bit_axes(n, targets, state.ndim))
-
-
-def embed_operator(mat: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """Embed a 2^k x 2^k operator on `targets` into the full register.
-
-    The operator's local index treats targets[0] as the most significant
-    local bit. Identity on all other qubits. Works for any (distinct)
-    target order and non-adjacent targets; the operator need not be
-    unitary. A test oracle for `apply_on_qubits`.
-    """
-    targets = list(targets)
-    n = num_qubits
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError("targets must be distinct")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"targets {targets} out of range for {n} qubits")
-    if mat.shape != (2**k, 2**k):
-        raise ValueError("operator dimension does not match target count")
-    rest = [q for q in reversed(range(n)) if q not in targets]
-    full = np.kron(np.asarray(mat, dtype=np.complex128), np.eye(2 ** (n - k)))
-    # full acts on qubit order targets + rest (most to least significant);
-    # permute axes so qubit q sits at significance q.
-    cur = targets + rest
-    perm = [cur.index(q) for q in reversed(range(n))]
-    t = full.reshape([2] * (2 * n))
-    t = t.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-def gate_tensor_on(gate: Gate, targets, num_qubits: int) -> np.ndarray:
-    """Full-register unitary acting as `gate` on `targets`, identity elsewhere."""
-    targets = list(targets)
-    if len(targets) != gate.arity:
-        raise ValueError(
-            f"gate {gate.name} has arity {gate.arity}, got {len(targets)} targets"
-        )
-    return embed_operator(gate.matrix, targets, num_qubits)

@@ -4,10 +4,11 @@ The state is a chain of rank-3 tensors (left_bond, 2, right_bond), one per
 site; site s holds qubit `qubits[s]`. A two-qubit gate moves one of its
 qubits next to the other with SWAP splits and leaves it there; then it
 contracts the shared bond, applies the 4x4 gate and re-splits with an SVD,
-discarding singular values below the truncation threshold and beyond the
-bond cap. Tensors left of the orthogonality centre are left-isometric and
-those right of it right-isometric (Schollwöck, arXiv:1008.3477 §4); a split
-keeps this by putting the singular values on the tensor nearer the centre.
+dropping singular values at or below TRUNCATION_THRESHOLD (roundoff) and
+raising BondOverflowError past the bond cap. Tensors left of the
+orthogonality centre are left-isometric and those right of it
+right-isometric (Schollwöck, arXiv:1008.3477 §4); a split keeps this by
+putting the singular values on the tensor nearer the centre.
 Measurements move the centre onto their site with QR steps and read it.
 """
 
@@ -22,16 +23,17 @@ _SWAP_4 = np.array(
     dtype=np.complex128,
 )
 
+TRUNCATION_THRESHOLD = 1e-12
+
 
 class BondOverflowError(RuntimeError):
     """Raised when a split needs more singular values than the bond cap allows."""
 
 
 class MPSState:
-    def __init__(self, num_qubits, max_bond=None, truncation_threshold=1e-12):
+    def __init__(self, num_qubits, max_bond=None):
         self.num_qubits = num_qubits
         self.max_bond = max_bond
-        self.truncation_threshold = truncation_threshold
         zero = np.zeros((1, 2, 1), dtype=np.complex128)
         zero[0, 0, 0] = 1.0
         self.tensors = [zero.copy() for _ in range(num_qubits)]
@@ -87,7 +89,7 @@ class MPSState:
         theta = np.tensordot(a, b, axes=(2, 0)).reshape(chi_l, 4, chi_r)
         theta = np.einsum("pq,aqb->apb", matrix, theta).reshape(chi_l * 2, 2 * chi_r)
         u, s, vh = np.linalg.svd(theta, full_matrices=False)
-        chi = max(int(np.count_nonzero(s > self.truncation_threshold)), 1)
+        chi = max(int(np.count_nonzero(s > TRUNCATION_THRESHOLD)), 1)
         if self.max_bond is not None and chi > self.max_bond:
             raise BondOverflowError(
                 f"bond dimension {chi} exceeds cap {self.max_bond} between "

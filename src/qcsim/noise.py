@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate, apply_local, apply_on_qubits
-from .state import DensityMatrix, hermitize
+from .gates import Gate, apply_local
 
 COMPLETENESS_ATOL = 1e-12
 
@@ -181,21 +180,3 @@ def step_operator(gate: Gate, spec: NoiseSpec | None, density: bool) -> np.ndarr
         else:
             pre = apply_local(pre, ch.superoperator, [slot, k + slot])
     return post @ np.kron(gate.matrix, gate.matrix.conj()) @ pre
-
-
-def apply_noisy_gate(
-    rho: DensityMatrix, gate: Gate, targets, spec: NoiseSpec | None
-) -> DensityMatrix:
-    """Apply `gate` on `targets` with per-slot noise channels.
-
-    Dephasing and amplitude damping act on their qubit before the unitary;
-    depolarizing slots act on their qubit after it. spec=None means a
-    noiseless gate.
-    """
-    targets = list(targets)
-    n = rho.num_qubits
-    if len(targets) != gate.arity or len(set(targets) & set(range(n))) != gate.arity:
-        raise ValueError(f"gate {gate.name}: bad targets {targets} for {n} qubits")
-    check_slots(gate, spec)
-    mat = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), targets)
-    return DensityMatrix(n, hermitize(mat))

@@ -6,8 +6,13 @@ Qubit 0 is the least significant bit of the basis-state index throughout
 the package, so for two qubits the basis order is |00>, |01>, |10>, |11>
 with the right-hand bit belonging to qubit 0.
 
-All operations are pure functions returning new states; states are
-immutable after construction.
+`PureState` and `DensityMatrix` are the validated states a run returns:
+their invariants are checked once, where a state leaves an engine. The
+engines carry raw numpy arrays between those checks, and the functions
+here that take a raw `state` (`prob_zero`, `collapse`, `to_qubit_order`)
+work on a vector and a density matrix alike. The full-register
+reference algebra (embedding, partial trace, |psi><psi|) is a test
+oracle and lives with the tests.
 """
 
 from __future__ import annotations
@@ -40,13 +45,6 @@ class PureState:
             raise ValueError(f"state not normalized: |psi| = {norm}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @staticmethod
-    def zero(num_qubits: int) -> "PureState":
-        """The all-zeros computational basis state |0...0>."""
-        amps = np.zeros(2**num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return PureState(num_qubits, amps)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -72,13 +70,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
         object.__setattr__(self, "matrix", mat)
 
-    @staticmethod
-    def zero(num_qubits: int) -> "DensityMatrix":
-        """|0...0><0...0|."""
-        mat = np.zeros((2**num_qubits, 2**num_qubits), dtype=np.complex128)
-        mat[0, 0] = 1.0
-        return DensityMatrix(num_qubits, mat)
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -94,57 +85,6 @@ class MeasurementRecord:
             raise ValueError("outcome must be 0 or 1")
         if not 0.0 <= self.probability_of_outcome <= 1.0:
             raise ValueError("probability must lie in [0, 1]")
-
-
-def pure_to_density(psi: PureState) -> DensityMatrix:
-    """Outer product |psi><psi|, bridging the two representations."""
-    mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(psi.num_qubits, mat)
-
-
-def tensor_product(a, b):
-    """Combine two states, with `a` occupying the more significant qubits.
-
-    Both operands must be the same representation kind.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(
-            a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes)
-        )
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.num_qubits + b.num_qubits, np.kron(a.matrix, b.matrix))
-    raise TypeError(
-        f"cannot combine {type(a).__name__} with {type(b).__name__}; "
-        "operands must share a representation"
-    )
-
-
-def _check_keep(keep, num_qubits):
-    if len(keep) == 0:
-        raise ValueError("keep must be nonempty")
-    if sorted(set(keep)) != list(keep):
-        raise ValueError("keep must be sorted and free of duplicates")
-    if keep[-1] >= num_qubits or keep[0] < 0:
-        raise ValueError(f"keep indices must lie in [0, {num_qubits})")
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix over the qubits in `keep` (sorted, distinct).
-
-    Qubit keep[j] becomes bit j of the reduced matrix index.
-    """
-    keep = list(keep)
-    n = rho.num_qubits
-    _check_keep(keep, n)
-    # Axis n-1-q of the rank-2n tensor is qubit q's row bit, labelled q, and
-    # axis 2n-1-q its column bit: labelled n + j for keep[j], and q (so that
-    # it is contracted with the row bit) for a traced qubit.
-    rows = list(reversed(range(n)))
-    cols = [n + keep.index(q) if q in keep else q for q in rows]
-    out = keep[::-1] + [n + j for j in reversed(range(len(keep)))]
-    reduced = np.einsum(rho.matrix.reshape([2] * (2 * n)), rows + cols, out)
-    m = len(keep)
-    return DensityMatrix(m, reduced.reshape(2**m, 2**m))
 
 
 def bit_axes(num_qubits: int, qubits, ndim: int) -> list:
@@ -167,24 +107,6 @@ def to_qubit_order(state: np.ndarray, qubits) -> np.ndarray:
         return state
     axes = bit_axes(n, [qubits.index(q) for q in reversed(range(n))], state.ndim)
     return state.reshape([2] * (n * state.ndim)).transpose(axes).reshape(state.shape)
-
-
-def measure_qubit(state, qubit: int, rng_sample: float):
-    """Projective Z-measurement of one qubit.
-
-    Returns (outcome, post_state, prob) where prob is the Born probability
-    of outcome 0 and the post state is the full system collapsed onto the
-    sampled outcome and renormalized.
-    """
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    raw = state.amplitudes if isinstance(state, PureState) else state.matrix
-    p0, ones = sample_outcomes(prob_zero(raw, qubit), np.array([rng_sample]))
-    outcome = int(ones[0])
-    return outcome, type(state)(n, collapse(raw, qubit, outcome)), p0
 
 
 def sample_outcomes(p0: float, rng_samples: np.ndarray):

@@ -7,19 +7,20 @@ lines (and the measured timing curves for the depth benchmark).
 import numpy as np
 import pytest
 
+from oracles import embed_operator, gate_tensor_on, pure_to_density
 from qcsim.bench import bench_depth_sweep, fidelity_sweep
 from qcsim.circuit import Circuit, gate_app, measure, random_circuit
-from qcsim.engines import RunConfig, run, run_shots, run_simple
-from qcsim.gates import embed_operator, gate_tensor_on, make_gate
+from qcsim.engines import RunConfig, run, run_shots
+from qcsim.gates import apply_on_qubits, make_gate
 from qcsim.noise import (
     NoiseSpec,
     amplitude_damping,
-    apply_noisy_gate,
     dephasing,
     depolarizing,
+    step_operator,
 )
 from qcsim.qasm import emit_qasm, parse_qasm
-from qcsim.state import DensityMatrix, PureState, fidelity, pure_to_density
+from qcsim.state import DensityMatrix, PureState, fidelity
 
 # seed pinning the acceptance randomness; the noise-sweep shape properties
 # at desk scale depend on the sampled circuit (fidelities saturate near
@@ -53,10 +54,7 @@ def test_criterion_1_engine_cross_equivalence():
         d = int(rng.integers(2, 21))
         circuit = random_circuit(n, d, int(rng.integers(1 << 30)))
         states = {
-            eng: run(
-                circuit,
-                RunConfig(engine=eng, mps_truncation_threshold=1e-12),
-            ).final_state
+            eng: run(circuit, RunConfig(engine=eng)).final_state
             for eng in ("simple", "mps", "depth")
         }
         worst = min(
@@ -76,8 +74,8 @@ def test_criterion_2_representation_consistency():
         n = int(rng.integers(2, 7))
         d = int(rng.integers(2, 13))
         circuit = random_circuit(n, d, int(rng.integers(1 << 30)))
-        wave = run_simple(circuit, RunConfig(representation="wave")).final_state
-        dens = run_simple(circuit, RunConfig(representation="density")).final_state
+        wave = run(circuit, RunConfig(representation="wave")).final_state
+        dens = run(circuit, RunConfig(representation="density")).final_state
         worst = max(
             worst, np.abs(dens.matrix - pure_to_density(wave).matrix).max()
         )
@@ -95,20 +93,23 @@ def test_criterion_3_noise_oracle_equivalence():
         gate = make_gate("RY", [rng.uniform(0, 2 * np.pi)])
         u = gate.matrix
 
-        out = apply_noisy_gate(rho, gate, [0], NoiseSpec({0: dephasing(eps)}))
+        spec = NoiseSpec({0: dephasing(eps)})
+        out = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), [0])
         direct = u @ ((1 - eps) * rho.matrix + eps * z @ rho.matrix @ z) @ u.conj().T
-        worst = max(worst, np.abs(out.matrix - direct).max())
+        worst = max(worst, np.abs(out - direct).max())
 
-        out = apply_noisy_gate(rho, gate, [0], NoiseSpec({0: depolarizing(eps)}))
+        spec = NoiseSpec({0: depolarizing(eps)})
+        out = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), [0])
         direct = (1 - eps) * u @ rho.matrix @ u.conj().T + eps * np.eye(2) / 2
-        worst = max(worst, np.abs(out.matrix - direct).max())
+        worst = max(worst, np.abs(out - direct).max())
 
         a0 = np.array([[1, 0], [0, np.sqrt(1 - eps)]], dtype=complex)
         a1 = np.array([[0, np.sqrt(eps)], [0, 0]], dtype=complex)
-        out = apply_noisy_gate(rho, gate, [0], NoiseSpec({0: amplitude_damping(eps)}))
+        spec = NoiseSpec({0: amplitude_damping(eps)})
+        out = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), [0])
         direct = u @ (a0 @ rho.matrix @ a0.conj().T
                       + a1 @ rho.matrix @ a1.conj().T) @ u.conj().T
-        worst = max(worst, np.abs(out.matrix - direct).max())
+        worst = max(worst, np.abs(out - direct).max())
 
     completeness = 0.0
     for eps in np.linspace(0.0, 1.0, 11):
@@ -123,13 +124,14 @@ def test_criterion_3_noise_oracle_equivalence():
         rho = _random_density(2, rng)
         c0 = dephasing(float(rng.uniform(0, 1)))
         c1 = amplitude_damping(float(rng.uniform(0, 1)))
-        out = apply_noisy_gate(rho, cx, [0, 1], NoiseSpec({0: c0, 1: c1}))
+        spec = NoiseSpec({0: c0, 1: c1})
+        out = apply_on_qubits(rho.matrix, step_operator(cx, spec, True), [0, 1])
         expected = np.zeros((4, 4), dtype=complex)
         for e0 in c0.kraus_ops:
             for e1 in c1.kraus_ops:
                 k = u @ embed_operator(np.kron(e0, e1), [0, 1], 2)
                 expected += k @ rho.matrix @ k.conj().T
-        two_qubit_worst = max(two_qubit_worst, np.abs(out.matrix - expected).max())
+        two_qubit_worst = max(two_qubit_worst, np.abs(out - expected).max())
 
     ok = worst < 1e-11 and completeness < 1e-12 and two_qubit_worst < 1e-11
     _report(3, ok,

@@ -10,7 +10,7 @@ from qcsim.bench import (
     timing_csv,
 )
 from qcsim.circuit import Circuit, gate_app, random_circuit
-from qcsim.engines import RunConfig, run_simple
+from qcsim.engines import RunConfig, run
 from qcsim.gates import make_gate
 from qcsim.noise import NoiseSpec
 from qcsim.state import fidelity
@@ -70,8 +70,8 @@ class TestFidelitySweep:
             NoiseSpec.uniform("amplitude_damping", eps, 1)
         )
         config = RunConfig(representation="density")
-        baseline = run_simple(noiseless, config).final_state
-        damped = run_simple(noisy, config).final_state
+        baseline = run(noiseless, config).final_state
+        damped = run(noisy, config).final_state
         assert abs(fidelity(baseline, damped) - (1 - eps)) < 1e-9
 
 

@@ -130,6 +130,12 @@ class TestRun:
         {"overrides": [3]},
         {"overrides": [{"instruction": 0, "slot": 1, "kind": "dephasing",
                         "epsilon": 0.1}]},  # slot 1 of the 1-qubit h
+        {"overrides": [{"instruction": 1.9, "slot": 0, "kind": "dephasing",
+                        "epsilon": 0.1}]},
+        {"overrides": [{"instruction": 1, "slot": 0.5, "kind": "dephasing",
+                        "epsilon": 0.1}]},
+        {"overrides": [{"instruction": "1", "slot": 0, "kind": "dephasing",
+                        "epsilon": 0.1}]},
     ])
     def test_noise_config_type_errors_exit_2(self, bell_path, tmp_path, capsys, doc):
         noise_path = tmp_path / "noise.json"
@@ -148,6 +154,17 @@ class TestRun:
         ("slot.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "H",'
                       b' "targets": [0], "noise": {"1": {"kind": "dephasing",'
                       b' "epsilon": 0.1}}}]}'),
+        # fractional integer fields: refused, not truncated or a traceback
+        ("num_qubits.json", b'{"num_qubits": 2.5, "instructions": []}'),
+        ("num_clbits.json", b'{"num_qubits": 1, "num_clbits": 1.5, "instructions": []}'),
+        ("measure_qubit.json", b'{"num_qubits": 2, "num_clbits": 1, "instructions":'
+                               b' [{"kind": "measure", "qubit": 0.5, "clbit": 0}]}'),
+        ("measure_clbit.json", b'{"num_qubits": 2, "num_clbits": 1, "instructions":'
+                               b' [{"kind": "measure", "qubit": 0, "clbit": 0.5}]}'),
+        ("target.json", b'{"num_qubits": 2, "instructions":'
+                        b' [{"kind": "gate", "name": "X", "targets": [1.7]}]}'),
+        ("condition.json", b'{"num_qubits": 2, "num_clbits": 1, "instructions": [{"kind":'
+                           b' "gate", "name": "X", "targets": [1], "condition": [0.5, 1]}]}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name

@@ -14,21 +14,13 @@ from qcsim.circuit import (
     measure,
     random_circuit,
 )
+from oracles import gate_tensor_on, pure_to_density
 from qcsim import engines
-from qcsim.engines import (
-    ConfigError,
-    DenseGroups,
-    RunConfig,
-    run,
-    run_depth,
-    run_mps,
-    run_shots,
-    run_simple,
-)
-from qcsim.gates import gate_tensor_on, make_gate
+from qcsim.engines import ConfigError, DenseGroups, RunConfig, run, run_shots
+from qcsim.gates import make_gate
 from qcsim.mps import BondOverflowError, MPSState
 from qcsim.noise import NoiseSpec, step_operator
-from qcsim.state import PureState, fidelity, pure_to_density
+from qcsim.state import PureState, fidelity
 
 
 def h(q):
@@ -70,25 +62,25 @@ def reference_run(circuit: Circuit) -> np.ndarray:
 
 class TestSimple:
     def test_bell_state(self):
-        result = run_simple(bell_circuit(), RunConfig())
+        result = run(bell_circuit(), RunConfig())
         expected = np.array([1, 0, 0, 1]) / np.sqrt(2)
         assert np.abs(result.final_state.amplitudes - expected).max() < 1e-12
 
     def test_classical_control(self):
         c = Circuit(2, 1, [x(0), measure(0, 0), x(1, condition=(0, 1))])
-        result = run_simple(c, RunConfig(seed=3))
+        result = run(c, RunConfig(seed=3))
         assert result.classical_bits == (1,)
         assert np.argmax(np.abs(result.final_state.amplitudes)) == 3  # |11>
 
     def test_condition_mismatch_skips_gate(self):
         c = Circuit(2, 1, [measure(0, 0), x(1, condition=(0, 1))])
-        result = run_simple(c, RunConfig(seed=3))
+        result = run(c, RunConfig(seed=3))
         assert result.classical_bits == (0,)
         assert np.argmax(np.abs(result.final_state.amplitudes)) == 0
 
     def test_matches_dense_reference_oracle(self):
         c = random_circuit(6, 10, 21)
-        result = run_simple(c, RunConfig())
+        result = run(c, RunConfig())
         ref = reference_run(c)
         assert abs(np.linalg.norm(result.final_state.amplitudes) - 1) < 1e-12
         assert 1 - abs(np.vdot(result.final_state.amplitudes, ref)) ** 2 < 1e-10
@@ -96,8 +88,8 @@ class TestSimple:
     def test_noise_requires_density(self):
         c = bell_circuit().with_global_noise(NoiseSpec.uniform("dephasing", 0.1, 2))
         with pytest.raises(ConfigError):
-            run_simple(c, RunConfig(representation="wave"))
-        run_simple(c, RunConfig(representation="density"))  # no raise
+            run(c, RunConfig(representation="wave"))
+        run(c, RunConfig(representation="density"))  # no raise
 
 
 class TestMps:
@@ -110,21 +102,21 @@ class TestMps:
 
     def test_bell_bond_two_and_matches_simple(self):
         c = bell_circuit()
-        result = run_mps(c, RunConfig(engine="mps"))
-        simple = run_simple(c, RunConfig())
+        result = run(c, RunConfig(engine="mps"))
+        simple = run(c, RunConfig())
         assert 1 - state_fidelity(result.final_state, simple.final_state) < 1e-10
 
     def test_random_circuit_matches_simple_at_exact_settings(self):
         c = random_circuit(10, 20, 17)
-        result = run_mps(c, RunConfig(engine="mps", mps_truncation_threshold=1e-12))
-        simple = run_simple(c, RunConfig())
+        result = run(c, RunConfig(engine="mps"))
+        simple = run(c, RunConfig())
         assert 1 - state_fidelity(result.final_state, simple.final_state) < 1e-8
 
     def test_non_adjacent_gates_routed_with_swaps(self):
         c = Circuit(4, 0, [h(0), gate_app(make_gate("CX"), (0, 3)), h(2),
                            gate_app(make_gate("CX"), (3, 1))])
-        result = run_mps(c, RunConfig(engine="mps"))
-        simple = run_simple(c, RunConfig())
+        result = run(c, RunConfig(engine="mps"))
+        simple = run(c, RunConfig())
         assert 1 - state_fidelity(result.final_state, simple.final_state) < 1e-10
 
     def test_nan_centre_tensor_fails_export(self):
@@ -136,18 +128,18 @@ class TestMps:
 
     def test_density_representation_rejected(self):
         with pytest.raises(ConfigError):
-            run_mps(bell_circuit(), RunConfig(representation="density", engine="mps"))
+            run(bell_circuit(), RunConfig(representation="density", engine="mps"))
 
     def test_bond_cap_overflow_raises(self):
         c = random_circuit(8, 16, 4)
         with pytest.raises(BondOverflowError):
-            run_mps(c, RunConfig(engine="mps", mps_max_bond=2))
+            run(c, RunConfig(engine="mps", mps_max_bond=2))
 
     def test_measurement_matches_simple(self):
         c = Circuit(2, 2, [h(0), cx(0, 1), measure(0, 0), measure(1, 1)])
         for seed in range(10):
-            mps = run_mps(c, RunConfig(engine="mps", seed=seed))
-            simple = run_simple(c, RunConfig(seed=seed))
+            mps = run(c, RunConfig(engine="mps", seed=seed))
+            simple = run(c, RunConfig(seed=seed))
             assert mps.classical_bits == simple.classical_bits
             assert 1 - state_fidelity(mps.final_state, simple.final_state) < 1e-10
 
@@ -161,12 +153,13 @@ class TestMps:
             stop = int(rng.integers(1, depth(c) + 1))
             for max_depth in (None, stop):
                 config = RunConfig(seed=int(rng.integers(1 << 30)), max_depth=max_depth)
-                simple = run_simple(c, config)
-                _assert_same_run(run_mps(c, config), simple)
-                _assert_same_run(run_depth(c, config), simple)
+                simple = run(c, config)
+                _assert_same_run(run(c, replace(config, engine="mps")), simple)
+                _assert_same_run(run(c, replace(config, engine="depth")), simple)
                 noisy = c.with_global_noise(noise)
                 density = replace(config, representation="density")
-                _assert_same_run(run_depth(noisy, density), run_simple(noisy, density))
+                _assert_same_run(run(noisy, replace(density, engine="depth")),
+                                 run(noisy, density))
 
     def test_canonical_form_holds_after_every_step(self):
         rng = np.random.default_rng(9)
@@ -203,10 +196,10 @@ class TestMps:
                     for q in range(16)]
             ins += [cx(a, b) for a, b in pairs]
         c = Circuit(16, 0, ins)
-        result = run_mps(c, RunConfig())
+        result = run(c, RunConfig(engine="mps"))
         # Routing there and back took 224 SWAP splits and 16 gate splits.
         assert len(splits) < 240 / 2
-        simple = run_simple(c, RunConfig())
+        simple = run(c, RunConfig())
         assert np.abs(result.final_state.amplitudes
                       - simple.final_state.amplitudes).max() < 1e-10
 
@@ -261,13 +254,13 @@ def _routed_circuit(rng, n):
 
 class TestDepthEngine:
     def test_full_run_matches_simple_on_bell(self):
-        result = run_depth(bell_circuit(), RunConfig(engine="depth"))
-        simple = run_simple(bell_circuit(), RunConfig())
+        result = run(bell_circuit(), RunConfig(engine="depth"))
+        simple = run(bell_circuit(), RunConfig())
         assert np.abs(result.final_state.amplitudes - simple.final_state.amplitudes).max() < 1e-12
 
     def test_early_stop_applies_first_layer_only(self):
         c = bell_circuit()  # depth 2
-        result = run_depth(c, RunConfig(engine="depth", max_depth=1))
+        result = run(c, RunConfig(engine="depth", max_depth=1))
         assert result.layers_executed == 1
         expected = np.zeros(4, dtype=complex)
         expected[0] = expected[1] = 1 / np.sqrt(2)  # H applied, CX not
@@ -281,7 +274,7 @@ class TestDepthEngine:
             c.num_qubits, c.num_clbits,
             [ins for ins, layer in zip(c.instructions, layers) if layer <= stop],
         )
-        simple = run_simple(prefix, RunConfig())
+        simple = run(prefix, RunConfig())
         for engine in ("simple", "mps", "depth"):
             result = run(c, RunConfig(engine=engine, max_depth=stop))
             assert result.layers_executed == stop
@@ -289,8 +282,8 @@ class TestDepthEngine:
 
     def test_density_mode_with_noise(self):
         c = bell_circuit().with_global_noise(NoiseSpec.uniform("dephasing", 0.2, 2))
-        result = run_depth(c, RunConfig(representation="density", engine="depth"))
-        simple = run_simple(c, RunConfig(representation="density"))
+        result = run(c, RunConfig(representation="density", engine="depth"))
+        simple = run(c, RunConfig(representation="density"))
         assert np.abs(result.final_state.matrix - simple.final_state.matrix).max() < 1e-10
 
     def test_export_in_qubit_order_does_not_copy(self):
@@ -316,8 +309,8 @@ class TestCrossEngine:
     def test_density_equals_outer_product_of_wave(self):
         for seed in (0, 1, 2):
             c = random_circuit(4, 8, seed)
-            wave = run_simple(c, RunConfig(representation="wave"))
-            dens = run_simple(c, RunConfig(representation="density"))
+            wave = run(c, RunConfig(representation="wave"))
+            dens = run(c, RunConfig(representation="density"))
             expected = pure_to_density(wave.final_state)
             assert np.abs(dens.final_state.matrix - expected.matrix).max() < 1e-9
 
@@ -544,5 +537,5 @@ def test_mps_copy_is_independent_after_routing():
 
 def test_layers_executed_bounded_by_depth():
     c = random_circuit(4, 9, 2)
-    result = run_simple(c, RunConfig())
+    result = run(c, RunConfig())
     assert result.layers_executed == depth(c)

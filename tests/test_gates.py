@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from qcsim.gates import (
-    GATE_SIGNATURES,
-    UNITARY_ATOL,
-    Gate,
-    apply_on_qubits,
-    gate_tensor_on,
-    make_gate,
-)
+from oracles import gate_tensor_on
+from qcsim.gates import GATE_SIGNATURES, UNITARY_ATOL, Gate, apply_on_qubits, make_gate
 from qcsim.noise import step_operator
 
 

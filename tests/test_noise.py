@@ -3,18 +3,26 @@ import itertools
 import numpy as np
 import pytest
 
-from qcsim.gates import embed_operator, gate_tensor_on, make_gate
+from oracles import (
+    embed_operator,
+    gate_tensor_on,
+    partial_trace,
+    pure_to_density,
+    zero_density,
+)
+from qcsim.circuit import Circuit, gate_app
+from qcsim.gates import apply_on_qubits, make_gate
 from qcsim.noise import (
     COMPLETENESS_ATOL,
     NoiseChannel,
     NoiseSpec,
     amplitude_damping,
-    apply_noisy_gate,
+    check_slots,
     dephasing,
     depolarizing,
     step_operator,
 )
-from qcsim.state import DensityMatrix, PureState, pure_to_density
+from qcsim.state import DensityMatrix, PureState
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -24,6 +32,11 @@ def random_density(num_qubits, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = a @ a.conj().T
     return DensityMatrix(num_qubits, m / np.trace(m))
+
+
+def noisy_gate(rho, gate, targets, spec):
+    """One gate step under noise `spec` on rho, as the dense engines apply it."""
+    return apply_on_qubits(rho.matrix, step_operator(gate, spec, True), targets)
 
 
 def all_channels(epsilon):
@@ -69,66 +82,62 @@ class TestDephasing:
     def test_epsilon_zero_is_identity(self):
         rng = np.random.default_rng(0)
         rho = random_density(1, rng)
-        out = apply_noisy_gate(rho, make_gate("I"), [0], NoiseSpec({0: dephasing(0.0)}))
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-12
+        out = noisy_gate(rho, make_gate("I"), [0], NoiseSpec({0: dephasing(0.0)}))
+        assert np.abs(out - rho.matrix).max() < 1e-12
 
     def test_half_dephasing_kills_coherence(self):
         plus = pure_to_density(PureState(1, np.array([1, 1]) / np.sqrt(2)))
-        out = apply_noisy_gate(plus, make_gate("I"), [0], NoiseSpec({0: dephasing(0.5)}))
-        assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-12
+        out = noisy_gate(plus, make_gate("I"), [0], NoiseSpec({0: dephasing(0.5)}))
+        assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
     def test_matches_direct_arithmetic_oracle(self):
         rng = np.random.default_rng(1)
         rho = random_density(1, rng)
-        out = apply_noisy_gate(rho, make_gate("I"), [0], NoiseSpec({0: dephasing(0.3)}))
+        out = noisy_gate(rho, make_gate("I"), [0], NoiseSpec({0: dephasing(0.3)}))
         expected = 0.7 * rho.matrix + 0.3 * Z @ rho.matrix @ Z.conj().T
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_z_invariant_state_before_x_gate(self):
-        rho = DensityMatrix.zero(1)
-        out = apply_noisy_gate(rho, make_gate("X"), [0], NoiseSpec({0: dephasing(0.4)}))
-        assert np.abs(out.matrix - np.diag([0.0, 1.0])).max() < 1e-12
+        rho = zero_density(1)
+        out = noisy_gate(rho, make_gate("X"), [0], NoiseSpec({0: dephasing(0.4)}))
+        assert np.abs(out - np.diag([0.0, 1.0])).max() < 1e-12
 
 
 class TestDepolarizing:
     def test_full_depolarization_gives_maximally_mixed_marginal(self):
         rng = np.random.default_rng(2)
         rho = random_density(2, rng)
-        out = apply_noisy_gate(
+        out = noisy_gate(
             rho, make_gate("H"), [1], NoiseSpec({0: depolarizing(1.0)})
         )
-        from qcsim.state import partial_trace
-
-        marginal = partial_trace(out, [1])
+        marginal = partial_trace(DensityMatrix(2, out), [1])
         assert np.abs(marginal.matrix - np.eye(2) / 2).max() < 1e-10
 
     def test_epsilon_zero_is_pure_unitary(self):
         rng = np.random.default_rng(3)
         rho = random_density(1, rng)
         h = make_gate("H")
-        out = apply_noisy_gate(rho, h, [0], NoiseSpec({0: depolarizing(0.0)}))
+        out = noisy_gate(rho, h, [0], NoiseSpec({0: depolarizing(0.0)}))
         expected = h.matrix @ rho.matrix @ h.matrix.conj().T
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_matches_combined_form_oracle(self):
         # (1-eps) U rho U^+ + eps I/2 evaluated directly
-        rho = DensityMatrix.zero(1)
+        rho = zero_density(1)
         h = make_gate("H")
-        out = apply_noisy_gate(rho, h, [0], NoiseSpec({0: depolarizing(0.4)}))
+        out = noisy_gate(rho, h, [0], NoiseSpec({0: depolarizing(0.4)}))
         expected = 0.6 * h.matrix @ rho.matrix @ h.matrix.conj().T + 0.4 * np.eye(2) / 2
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_multi_qubit_mixes_only_the_target_marginal(self):
         rng = np.random.default_rng(4)
         rho = random_density(2, rng)
-        out = apply_noisy_gate(
+        out = noisy_gate(
             rho, make_gate("I"), [0], NoiseSpec({0: depolarizing(0.5)})
         )
-        from qcsim.state import partial_trace
-
         # the untouched qubit's marginal is preserved
         kept = partial_trace(rho, [1])
-        kept_after = partial_trace(out, [1])
+        kept_after = partial_trace(DensityMatrix(2, out), [1])
         assert np.abs(kept.matrix - kept_after.matrix).max() < 1e-10
 
 
@@ -151,7 +160,7 @@ class TestDepolarizingOnLargerStates:
         for qubit in range(num_qubits):
             rho = random_density(num_qubits, rng)
             eps = rng.uniform(0.05, 0.95)
-            out = apply_noisy_gate(rho, h, [qubit], NoiseSpec({0: depolarizing(eps)}))
+            out = noisy_gate(rho, h, [qubit], NoiseSpec({0: depolarizing(eps)}))
             u = gate_tensor_on(h, [qubit], num_qubits)
             after_gate = u @ rho.matrix @ u.conj().T
             pauli_mixture = (1 - 3 * eps / 4) * after_gate + eps / 4 * sum(
@@ -162,35 +171,35 @@ class TestDepolarizingOnLargerStates:
                 after_gate, qubit, num_qubits
             )
             assert np.abs(pauli_mixture - affine).max() < 1e-12
-            assert np.abs(out.matrix - pauli_mixture).max() < 1e-12
+            assert np.abs(out - pauli_mixture).max() < 1e-12
 
 
 class TestAmplitudeDamping:
     def test_ground_state_fixed(self):
-        rho = DensityMatrix.zero(1)
-        out = apply_noisy_gate(
+        rho = zero_density(1)
+        out = noisy_gate(
             rho, make_gate("I"), [0], NoiseSpec({0: amplitude_damping(0.8)})
         )
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-12
+        assert np.abs(out - rho.matrix).max() < 1e-12
 
     def test_excited_state_decays(self):
         one = DensityMatrix(1, np.diag([0.0, 1.0]))
-        out = apply_noisy_gate(
+        out = noisy_gate(
             one, make_gate("I"), [0], NoiseSpec({0: amplitude_damping(0.25)})
         )
-        assert np.abs(out.matrix - np.diag([0.25, 0.75])).max() < 1e-12
+        assert np.abs(out - np.diag([0.25, 0.75])).max() < 1e-12
 
     def test_matches_direct_kraus_oracle(self):
         rng = np.random.default_rng(5)
         rho = random_density(1, rng)
         eps = 0.6
-        out = apply_noisy_gate(
+        out = noisy_gate(
             rho, make_gate("I"), [0], NoiseSpec({0: amplitude_damping(eps)})
         )
         a0 = np.array([[1, 0], [0, np.sqrt(1 - eps)]], dtype=complex)
         a1 = np.array([[0, np.sqrt(eps)], [0, 0]], dtype=complex)
         expected = a0 @ rho.matrix @ a0.conj().T + a1 @ rho.matrix @ a1.conj().T
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
 
 def kraus_terms(channel, after):
@@ -209,10 +218,10 @@ class TestApplyNoisyGate:
         rho = random_density(2, rng)
         cx = make_gate("CX")
         spec = NoiseSpec({0: dephasing(0.0), 1: dephasing(0.0)})
-        out = apply_noisy_gate(rho, cx, [0, 1], spec)
+        out = noisy_gate(rho, cx, [0, 1], spec)
         u = gate_tensor_on(cx, [0, 1], 2)
         expected = u @ rho.matrix @ u.conj().T
-        assert np.abs(out.matrix - expected).max() < 1e-12
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_two_qubit_tensor_product_matches_kron_oracle(self):
         rng = np.random.default_rng(7)
@@ -230,7 +239,7 @@ class TestApplyNoisyGate:
         for num_qubits, targets, slot0, slot1 in cases:
             rho = random_density(num_qubits, rng)
             spec = NoiseSpec({0: slot0, 1: slot1})
-            out = apply_noisy_gate(rho, cx, targets, spec)
+            out = noisy_gate(rho, cx, targets, spec)
             u = gate_tensor_on(cx, targets, num_qubits)
             expected = np.zeros_like(rho.matrix)
             for b0, b1, a0, a1 in itertools.product(
@@ -241,31 +250,29 @@ class TestApplyNoisyGate:
                 after = embed_operator(np.kron(a0, a1), targets, num_qubits)
                 k = after @ u @ before
                 expected += k @ rho.matrix @ k.conj().T
-            assert np.abs(out.matrix - expected).max() < 1e-11, (targets, slot0, slot1)
+            assert np.abs(out - expected).max() < 1e-11, (targets, slot0, slot1)
 
     def test_slot_arity_mismatch_rejected(self):
-        rho = DensityMatrix.zero(1)
         with pytest.raises(ValueError):
-            apply_noisy_gate(
-                rho, make_gate("X"), [0],
-                NoiseSpec({0: dephasing(0.1), 1: dephasing(0.1)}),
-            )
+            check_slots(make_gate("X"), NoiseSpec({0: dephasing(0.1), 1: dephasing(0.1)}))
 
     @pytest.mark.parametrize("targets", [[0], [0, 0], [0, 2], [0, 1, 2]])
     def test_bad_targets_rejected(self, targets):
+        # a noisy step runs only inside a Circuit, which refuses these targets
+        spec = NoiseSpec({0: dephasing(0.1)})
         with pytest.raises(ValueError):
-            apply_noisy_gate(DensityMatrix.zero(2), make_gate("CX"), targets, None)
+            Circuit(2, 0, [gate_app(make_gate("CX"), targets, noise=spec)])
 
     def test_trace_preserved_and_psd(self):
         rng = np.random.default_rng(8)
         for eps in (0.1, 0.5, 0.9):
             for channel in all_channels(eps):
                 rho = random_density(2, rng)
-                out = apply_noisy_gate(
+                out = noisy_gate(
                     rho, make_gate("CX"), [1, 0], NoiseSpec({0: channel, 1: channel})
                 )
-                assert abs(np.trace(out.matrix) - 1.0) < 1e-10
-                assert np.linalg.eigvalsh(out.matrix).min() > -1e-9
+                assert abs(np.trace(out) - 1.0) < 1e-10
+                assert np.linalg.eigvalsh(out).min() > -1e-9
 
     def test_noiseless_reduction_over_random_gates(self):
         rng = np.random.default_rng(9)
@@ -274,10 +281,10 @@ class TestApplyNoisyGate:
             gate = make_gate(name, params)
             rho = random_density(2, rng)
             for channel in all_channels(0.0):
-                out = apply_noisy_gate(rho, gate, [1], NoiseSpec({0: channel}))
+                out = noisy_gate(rho, gate, [1], NoiseSpec({0: channel}))
                 u = gate_tensor_on(gate, [1], 2)
                 expected = u @ rho.matrix @ u.conj().T
-                assert np.abs(out.matrix - expected).max() < 1e-12
+                assert np.abs(out - expected).max() < 1e-12
 
 
 def test_step_operator_invariants():

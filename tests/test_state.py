@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from oracles import partial_trace, pure_to_density, zero_density
+from qcsim.engines import _Group, _merge_groups
 from qcsim.state import (
     NORM_ATOL,
     DensityMatrix,
     PureState,
     _psd_sqrt,
+    collapse,
     fidelity,
-    measure_qubit,
-    partial_trace,
-    pure_to_density,
-    tensor_product,
+    prob_zero,
+    sample_outcomes,
 )
 
 
@@ -89,7 +90,7 @@ class TestInvariants:
 
 class TestPureToDensity:
     def test_basis_state(self):
-        rho = pure_to_density(PureState.zero(1))
+        rho = pure_to_density(PureState(1, np.array([1.0, 0.0])))
         assert np.allclose(rho.matrix, [[1, 0], [0, 0]])
 
     def test_equal_superposition(self):
@@ -104,33 +105,29 @@ class TestPureToDensity:
 
 
 class TestTensorProduct:
+    """`engines._merge_groups`: the tensor product the dense backend merges by."""
+
     def test_zero_one(self):
-        one = PureState(1, np.array([0.0, 1.0]))
-        combined = tensor_product(PureState.zero(1), one)
-        expected = np.zeros(4)
-        expected[1] = 1.0
-        assert np.allclose(combined.amplitudes, expected)
+        zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        merged = _merge_groups(_Group([0], one), _Group([1], zero))
+        assert merged.qubits == [0, 1]
+        assert np.allclose(merged.state, [0, 1, 0, 0])
 
     def test_diagonal_density(self):
-        zero = DensityMatrix(1, np.diag([1.0, 0.0]))
-        mixed = DensityMatrix(1, np.eye(2) / 2)
-        combined = tensor_product(zero, mixed)
-        assert np.allclose(combined.matrix, np.diag([0.5, 0.5, 0.0, 0.0]))
+        zero, mixed = np.diag([1.0, 0.0]), np.eye(2) / 2
+        merged = _merge_groups(_Group([0], mixed), _Group([1], zero))
+        assert np.allclose(merged.state, np.diag([0.5, 0.5, 0.0, 0.0]))
 
     def test_matches_elementwise_kron_oracle(self):
         rng = np.random.default_rng(1)
         a, b = random_pure(2, rng), random_pure(2, rng)
-        combined = tensor_product(a, b)
-        # direct double loop, a on the high bits
+        # a on qubits 2 and 3, the high bits of the merged index
+        merged = _merge_groups(_Group([0, 1], b.amplitudes), _Group([2, 3], a.amplitudes))
         expected = np.empty(16, dtype=complex)
         for i in range(4):
             for j in range(4):
                 expected[i * 4 + j] = a.amplitudes[i] * b.amplitudes[j]
-        assert np.allclose(combined.amplitudes, expected, atol=1e-12)
-
-    def test_representation_mismatch(self):
-        with pytest.raises(TypeError):
-            tensor_product(PureState.zero(1), DensityMatrix.zero(1))
+        assert np.allclose(merged.state, expected, atol=1e-12)
 
 
 class TestPartialTrace:
@@ -160,69 +157,76 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("keep", [[], [1, 0], [0, 0], [5]])
     def test_bad_keep_rejected(self, keep):
-        rho = DensityMatrix.zero(2)
         with pytest.raises(ValueError):
-            partial_trace(rho, keep)
+            partial_trace(zero_density(2), keep)
 
     def test_marginal_of_product_recovers_factor(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             a, b = random_pure(2, rng), random_pure(1, rng)
-            combined = pure_to_density(tensor_product(a, b))
+            combined = pure_to_density(PureState(3, np.kron(a.amplitudes, b.amplitudes)))
             # a occupies the high bits: qubits 1 and 2
             reduced = partial_trace(combined, [1, 2])
             assert np.abs(reduced.matrix - pure_to_density(a).matrix).max() < 1e-10
 
 
 class TestMeasureQubit:
+    """One measurement through the kernels the engines run: prob_zero,
+    sample_outcomes and collapse, on a raw vector or density matrix."""
+
     def test_deterministic_zero(self):
-        outcome, post, p0 = measure_qubit(PureState.zero(1), 0, 0.7)
-        assert outcome == 0 and p0 == pytest.approx(1.0)
-        assert np.allclose(post.amplitudes, [1, 0])
+        psi = np.array([1.0, 0.0], dtype=complex)
+        p0, ones = sample_outcomes(prob_zero(psi, 0), np.array([0.7]))
+        assert not ones[0] and p0 == pytest.approx(1.0)
+        assert np.allclose(collapse(psi, 0, 0), [1, 0])
 
     def test_equal_superposition(self):
-        psi = PureState(1, np.array([1, 1]) / np.sqrt(2))
-        outcome, post, p0 = measure_qubit(psi, 0, 0.25)
-        assert outcome == 0 and p0 == pytest.approx(0.5)
-        assert np.allclose(post.amplitudes, [1, 0], atol=1e-12)
+        psi = np.array([1, 1], dtype=complex) / np.sqrt(2)
+        p0, ones = sample_outcomes(prob_zero(psi, 0), np.array([0.25]))
+        assert not ones[0] and p0 == pytest.approx(0.5)
+        assert np.allclose(collapse(psi, 0, 0), [1, 0], atol=1e-12)
 
     def test_probability_matches_projector_oracle(self):
         rng = np.random.default_rng(5)
         rho = random_density(3, rng)
         proj = np.diag([(1 - ((i >> 1) & 1)) for i in range(8)]).astype(complex)
         expected = np.real(np.trace(proj @ rho.matrix))
-        _, _, p0 = measure_qubit(rho, 1, 0.0)
-        assert abs(p0 - expected) < 1e-12
+        assert abs(prob_zero(rho.matrix, 1) - expected) < 1e-12
 
     def test_branch_probabilities_sum_to_one(self):
         rng = np.random.default_rng(6)
-        psi = random_pure(3, rng)
-        _, _, p0 = measure_qubit(psi, 2, 0.0)
-        _, _, p0_again = measure_qubit(psi, 2, 1.0 - 1e-12)
-        assert abs(p0 - p0_again) < 1e-12
+        psi = random_pure(3, rng).amplitudes
+        p0, ones = sample_outcomes(prob_zero(psi, 2), np.array([0.0, 1.0 - 1e-12]))
+        p1 = sum(abs(psi[i]) ** 2 for i in range(8) if (i >> 2) & 1)
+        assert list(ones) == [False, True]
+        assert abs(p0 + p1 - 1.0) < 1e-12
         assert 0.0 <= p0 <= 1.0
 
     def test_pure_and_density_paths_agree(self):
         rng = np.random.default_rng(7)
         psi = random_pure(2, rng)
+        rho = pure_to_density(psi).matrix
         for sample in (0.1, 0.9):
-            o1, _, p1 = measure_qubit(psi, 1, sample)
-            o2, _, p2 = measure_qubit(pure_to_density(psi), 1, sample)
-            assert o1 == o2
+            p1, o1 = sample_outcomes(prob_zero(psi.amplitudes, 1), np.array([sample]))
+            p2, o2 = sample_outcomes(prob_zero(rho, 1), np.array([sample]))
+            assert o1[0] == o2[0]
             assert abs(p1 - p2) < 1e-12
+            post = collapse(psi.amplitudes, 1, int(o1[0]))
+            assert np.abs(collapse(rho, 1, int(o2[0])) - np.outer(post, post.conj())).max() < 1e-12
 
     def test_zero_probability_branch_rejected(self):
         # outcome-1 amplitude small enough that its probability is below
         # the collapse threshold, sample chosen to hit that branch
         amp1 = 1e-8
-        psi = PureState(1, np.array([np.sqrt(1 - amp1**2), amp1]))
+        psi = np.array([np.sqrt(1 - amp1**2), amp1])
         with pytest.raises(ValueError):
-            measure_qubit(psi, 0, 0.9999999999999999)
+            sample_outcomes(prob_zero(psi, 0), np.array([0.9999999999999999]))
 
     def test_post_state_valid_after_collapse(self):
         rng = np.random.default_rng(8)
-        rho = random_density(2, rng)
-        _, post, _ = measure_qubit(rho, 0, 0.3)
+        rho = random_density(2, rng).matrix
+        _, ones = sample_outcomes(prob_zero(rho, 0), np.array([0.3]))
+        post = DensityMatrix(2, collapse(rho, 0, int(ones[0])))
         assert abs(np.trace(post.matrix) - 1.0) < 1e-10
 
 
@@ -253,4 +257,4 @@ class TestFidelity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            fidelity(DensityMatrix.zero(1), DensityMatrix.zero(2))
+            fidelity(zero_density(1), zero_density(2))

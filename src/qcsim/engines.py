@@ -31,8 +31,11 @@ The engine selects the backend the loop drives:
 
 A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
 ``collapse(qubit, outcome)``, ``copy()``, which returns an independent
-backend in the same state, and ``export()``, which returns the validated
-final state; `_schedule` builds each gate's ``op`` once per circuit.
+backend in the same state, ``trace()``, the state's norm squared (the
+trace of a density matrix), read without building the state, and
+``export()``, which returns the validated final state; `_schedule` builds
+each gate's ``op`` once per circuit. Only `run` exports: `run_shots`
+returns counts, and checks each leaf's ``trace()`` instead.
 """
 
 from __future__ import annotations
@@ -93,35 +96,49 @@ class RunResult:
     layers_executed: int
 
 
-def _zero_array(num_qubits: int, representation: str) -> np.ndarray:
-    """|0...0> as a raw amplitude vector or density matrix."""
-    d = 2**num_qubits
-    state = np.zeros(d if representation == WAVE else (d, d), np.complex128)
-    state.flat[0] = 1.0
-    return state
+def _check_memory(size: int, what: str, exponent: int = 0):
+    """Raise ConfigError if size * 2**exponent bytes for `what` exceed this
+    host's physical memory; 2**exponent is never built."""
+    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") >> exponent:
+        needs = f"{size} x 2^{exponent}" if exponent else size
+        raise ConfigError(f"{what} needs {needs} bytes, more than this host's memory")
 
 
-def _check_memory(size: int, what: str):
-    """Raise ConfigError if `size` bytes for `what` exceed this host's physical memory."""
-    if size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise ConfigError(f"{what} needs {size} bytes, more than this host's memory")
+def _check_run(circuit: Circuit, config: RunConfig, shots: int | None = None):
+    """Raise ConfigError if the config cannot run the circuit, or if the
+    states the run holds at once exceed this host's memory.
+
+    `run` holds one dense state on every engine, as the MPS export is
+    dense: 16·2^n bytes, or 16·4^n for a density matrix. The walk of
+    `run_shots` holds at most min(floor(log2 shots), measurements) + 2
+    backends at once (`_execute`): dense states, or MPS chains. A chain
+    capped at bond χ holds 32·χ² bytes of amplitudes per site, plus 256
+    for the array header, its list slot and the site's qubit; an uncapped
+    one can reach bond 2^(n/2), so it is counted as dense. Nothing is
+    allocated per qubit before the check.
+    """
+    if circuit.has_noise() and config.representation != DENSITY:
+        raise ConfigError("noisy circuits require the density representation; "
+                          "wave-function mode cannot represent mixed states")
+    n, chi = circuit.num_qubits, config.mps_max_bond
+    size, exponent = 16, n if config.representation == WAVE else 2 * n
+    what = f"a {n}-qubit {config.representation} state"
+    if shots is not None:
+        measured = sum(ins.kind == MEASURE for ins in circuit.instructions)
+        copies = min(int(shots).bit_length() - 1, measured) + 2
+        if config.engine == MPS and chi is not None:
+            size, exponent, what = n * (32 * chi * chi + 256), 0, f"{what} at bond {chi}"
+        size, what = copies * size, f"{what} in {copies} copies"
+    _check_memory(size, what, exponent)
 
 
 def _backend(circuit: Circuit, config: RunConfig):
     """A backend in |0...0> for the config's engine and representation."""
-    if circuit.has_noise() and config.representation != DENSITY:
-        raise ConfigError(
-            "noisy circuits require the density representation; "
-            "wave-function mode cannot represent mixed states"
-        )
     n = circuit.num_qubits
-    _check_memory(16 * 2 ** (n if config.representation == WAVE else 2 * n),
-                  f"a {n}-qubit {config.representation} state")
     if config.engine == MPS:
         return MPSState(n, max_bond=config.mps_max_bond)
-    if config.engine == DEPTH:
-        return DenseGroups([[q] for q in range(n)], config.representation)
-    return DenseGroups([list(range(n))], config.representation)
+    blocks = [[q] for q in range(n)] if config.engine == DEPTH else [list(range(n))]
+    return DenseGroups(blocks, config.representation)
 
 
 def _schedule(circuit: Circuit, config: RunConfig):
@@ -195,6 +212,7 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     Instructions run in order, except those scheduled past the depth
     cut-off; each measurement draws one sample from the run's generator.
     """
+    _check_run(circuit, config)
     backend = _backend(circuit, config)
     steps, stop = _schedule(circuit, config)
     draws = np.random.default_rng(config.seed).random((1, _measurements(steps)))
@@ -240,8 +258,10 @@ class DenseGroups:
 
     def __init__(self, blocks, representation: str):
         self.owner = [None] * sum(map(len, blocks))  # owner[q]: the group of q
-        for qubits in blocks:
-            g = _Group(qubits, _zero_array(len(qubits), representation))
+        for qubits in blocks:  # each in |0...0>
+            d = 2 ** len(qubits)
+            g = _Group(qubits, np.zeros(d if representation == WAVE else (d, d), np.complex128))
+            g.state.flat[0] = 1.0
             for q in qubits:
                 self.owner[q] = g
 
@@ -272,6 +292,11 @@ class DenseGroups:
         g = self.owner[qubit]
         g.state = st.collapse(g.state, g.local(qubit), outcome)
 
+    def trace(self) -> float:
+        """The norm squared of the state, or its trace: the product over the groups."""
+        return float(np.prod([np.real(np.vdot(g.state, g.state) if g.state.ndim == 1
+                                      else np.trace(g.state)) for g in self._groups()]))
+
     def export(self):
         """Merge the groups in order of their lowest qubit, reorder once, and validate."""
         full = functools.reduce(_merge_groups, self._groups())
@@ -294,11 +319,12 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     which shots first give them. Shot i uses the seed sequence
     (config.seed, i), so results are reproducible, and it draws what `run`
     draws with that seed. All shots walk one outcome tree: each distinct
-    branch is simulated once, and each leaf's state is exported, and so
-    validated, once.
+    branch is simulated once. No state is built: each leaf's trace() must
+    be 1 within NORM_ATOL.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    _check_run(circuit, config, shots)
     steps, _ = _schedule(circuit, config)
     # the draws, and the shot indices at the root of the walk
     _check_memory(8 * shots * (_measurements(steps) + 1), f"sampling {shots} shots")
@@ -309,7 +335,8 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
         draws[i] = np.random.default_rng(seed).random(draws.shape[1])
     counts, first = {}, {}
     for leaf, clbits, hits in _execute(backend, steps, draws, circuit.num_clbits):
-        leaf.export()
+        if not abs(leaf.trace() - 1.0) <= st.NORM_ATOL:
+            raise ValueError(f"leaf state has trace {leaf.trace()}, expected 1")
         key = "".join(str(b) for b in reversed(clbits))
         counts[key] = counts.get(key, 0) + len(hits)
         first[key] = min(first.get(key, hits[0]), hits[0])

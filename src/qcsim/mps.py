@@ -130,6 +130,10 @@ class MPSState:
         kept[:, outcome] = a[:, outcome]
         self.tensors[self.centre] = kept / np.linalg.norm(kept)
 
+    def trace(self):
+        """The state's norm squared: that of the centre tensor, as the chain is mixed-canonical."""
+        return float(np.vdot(self.tensors[self.centre], self.tensors[self.centre]).real)
+
     def export(self):
         return self.to_pure_state()
 

@@ -61,7 +61,7 @@ class NoiseChannel:
 def _check_epsilon(epsilon: float) -> None:
     # Validate before taking square roots so out-of-range strengths raise
     # cleanly instead of emitting NaN warnings first.
-    if not 0.0 <= epsilon <= 1.0:
+    if isinstance(epsilon, bool) or not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
@@ -140,6 +140,8 @@ class NoiseSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "NoiseSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"noise must be a JSON object, not {type(data).__name__}")
         return NoiseSpec(
             {
                 int(slot): channel_from_kind(entry["kind"], entry["epsilon"])

@@ -136,6 +136,10 @@ class TestRun:
                         "epsilon": 0.1}]},
         {"overrides": [{"instruction": "1", "slot": 0, "kind": "dephasing",
                         "epsilon": 0.1}]},
+        # a JSON true is not a strength of 1
+        {"global": {"kind": "dephasing", "epsilon": True}},
+        {"overrides": [{"instruction": 0, "slot": 0, "kind": "dephasing",
+                        "epsilon": True}]},
     ])
     def test_noise_config_type_errors_exit_2(self, bell_path, tmp_path, capsys, doc):
         noise_path = tmp_path / "noise.json"
@@ -165,6 +169,15 @@ class TestRun:
                         b' [{"kind": "gate", "name": "X", "targets": [1.7]}]}'),
         ("condition.json", b'{"num_qubits": 2, "num_clbits": 1, "instructions": [{"kind":'
                            b' "gate", "name": "X", "targets": [1], "condition": [0.5, 1]}]}'),
+        # noise that is not an object of slots, or a JSON true as its strength
+        ("global_noise.json", b'{"num_qubits": 1, "instructions": [], "global_noise": [1]}'),
+        ("noise_kind.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "H",'
+                            b' "targets": [0], "noise": "dephasing"}]}'),
+        ("epsilon.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "H",'
+                         b' "targets": [0], "noise": {"0": {"kind": "dephasing",'
+                         b' "epsilon": true}}}]}'),
+        ("global_epsilon.json", b'{"num_qubits": 1, "instructions": [], "global_noise":'
+                                b' {"0": {"kind": "dephasing", "epsilon": true}}}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name
@@ -173,21 +186,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
 
+    # (qubits, arguments): 70 qubits, then registers whose byte counts have
+    # more digits than Python converts to text (20,000 as a vector, 7,200 as
+    # a density matrix).
     @pytest.mark.parametrize("args", [
-        [*engine, *repr_, *shots]
-        for engine, repr_ in [
-            (["--engine", "simple"], []), (["--engine", "simple"], ["--repr", "density"]),
-            (["--engine", "depth"], []), (["--engine", "depth"], ["--repr", "density"]),
-            (["--engine", "mps"], []),
+        (width, [*engine, *repr_, *shots])
+        for width, cases in [
+            (70, [(["--engine", "simple"], []), (["--engine", "simple"], ["--repr", "density"]),
+                  (["--engine", "depth"], []), (["--engine", "depth"], ["--repr", "density"]),
+                  (["--engine", "mps"], [])]),
+            (20_000, [(["--engine", e], []) for e in ("simple", "depth", "mps")]),
+            (7_200, [(["--engine", e], ["--repr", "density"]) for e in ("simple", "depth")]),
         ]
+        for engine, repr_ in cases
         for shots in ([], ["--shots", "2"])
     ])
     def test_register_larger_than_memory_exits_2(self, tmp_path, capsys, args):
+        width, args = args
         path = tmp_path / "wide.qasm"
-        path.write_text("OPENQASM 2.0;\nqreg q[70];\nh q[0];\n")
+        path.write_text(f"OPENQASM 2.0;\nqreg q[{width}];\nh q[0];\n")
         assert main(["run", str(path), *args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: a 70-qubit ") and err.count("\n") == 1
+        assert err.startswith(f"error: a {width}-qubit ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
 
     def test_shots_larger_than_memory_exits_2(self, bell_path, capsys, monkeypatch):
         # The check comes before the draws, or even the backend, are allocated.
@@ -196,6 +217,41 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: sampling 1000000000000 shots needs ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--engine", "simple"], ["--engine", "depth", "--repr", "density"],
+        ["--engine", "mps"], ["--engine", "mps", "--mps-max-bond", "2"],
+    ])
+    def test_shots_register_checked_before_scheduling(self, tmp_path, capsys, monkeypatch,
+                                                      args):
+        # Scheduling allocates per qubit: a billion-qubit register must be
+        # refused before it, also on a capped MPS chain.
+        monkeypatch.setattr(engines, "_schedule", None)
+        path = tmp_path / "huge.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[1000000000];\nh q[0];\n")
+        assert main(["run", str(path), "--shots", "1", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a 1000000000-qubit ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    def test_mps_shots_beyond_dense_reach(self, tmp_path, capsys):
+        ghz = tmp_path / "ghz.qasm"
+        ghz.write_text("OPENQASM 2.0;\nqreg q[50];\ncreg c[50];\nh q[0];\n"
+                       + "".join(f"cx q[{i}],q[{i + 1}];\n" for i in range(49))
+                       + "measure q -> c;\n")
+        assert main(["run", str(ghz), "--engine", "mps", "--shots", "1000",
+                     "--mps-max-bond", "2"]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert set(counts) <= {"0" * 50, "1" * 50}
+        assert abs(counts.get("0" * 50, 0) - 500) <= 80
+        assert sum(counts.values()) == 1000
+        wide = tmp_path / "wide.qasm"
+        wide.write_text("OPENQASM 2.0;\nqreg q[70];\ncreg c[70];\nh q[0];\ncx q[0],q[69];\n"
+                        "measure q -> c;\n")
+        assert main(["run", str(wide), "--engine", "mps", "--shots", "2",
+                     "--mps-max-bond", "4"]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert set(counts) <= {"0" * 70, "1" + "0" * 68 + "1"}
 
     def test_non_utf8_noise_config_exits_1(self, bell_path, tmp_path, capsys):
         noise_path = tmp_path / "noise.json"

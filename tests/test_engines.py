@@ -16,11 +16,12 @@ from qcsim.circuit import (
 )
 from oracles import gate_tensor_on, pure_to_density
 from qcsim import engines
+from qcsim import state as st
 from qcsim.engines import ConfigError, DenseGroups, RunConfig, run, run_shots
 from qcsim.gates import make_gate
 from qcsim.mps import BondOverflowError, MPSState
 from qcsim.noise import NoiseSpec, step_operator
-from qcsim.state import PureState, fidelity
+from qcsim.state import DensityMatrix, PureState, fidelity
 
 
 def h(q):
@@ -476,7 +477,7 @@ def test_shots_simulate_each_branch_once(engine, monkeypatch):
     calls = _backend_calls(monkeypatch, MPSState if engine == "mps" else DenseGroups)
     run_shots(_shot_circuits()["teleport"], RunConfig(engine=engine, seed=3), 300)
     # One run per shot makes 300 exports and 900 collapses.
-    assert calls["export"] <= 8
+    assert calls["export"] == 0
     assert calls["collapse"] <= 14
     assert calls["alive"] <= math.floor(math.log2(300)) + 2
 
@@ -494,6 +495,63 @@ def test_shots_keep_log_many_backends_alive(engine, monkeypatch):
     assert sum(counts.values()) == 64
     assert calls["copy"] > 20
     assert calls["alive"] <= math.floor(math.log2(64)) + 2
+
+
+def _collapse_unnormalized(state, qubit, outcome):
+    """st.collapse without its renormalization."""
+    kept = np.zeros_like(state)
+    src, dst = st._halves(state, qubit), st._halves(kept, qubit)
+    index = (slice(None), outcome) + (() if state.ndim == 1 else (slice(None), outcome))
+    dst[index] = src[index]
+    return kept
+
+
+def _mps_collapse_unnormalized(self, qubit, outcome):
+    """MPSState.collapse without its renormalization."""
+    a = self._centre_on(qubit)
+    kept = np.zeros_like(a)
+    kept[:, outcome] = a[:, outcome]
+    self.tensors[self.centre] = kept
+
+
+@pytest.mark.parametrize("engine, representation", [
+    ("simple", "wave"), ("simple", "density"), ("depth", "wave"), ("depth", "density"),
+    ("mps", "wave"),
+])
+def test_shots_check_each_leaf_trace(engine, representation, monkeypatch):
+    config = RunConfig(engine=engine, representation=representation, seed=3)
+    circuit = _shot_circuits()["teleport"]
+    assert run_shots(circuit, config, 50) == _shots_by_run(circuit, config, 50)
+    if engine == "mps":
+        monkeypatch.setattr(MPSState, "collapse", _mps_collapse_unnormalized)
+    else:
+        monkeypatch.setattr(st, "collapse", _collapse_unnormalized)
+    with pytest.raises(ValueError, match="leaf state has trace"):
+        run_shots(circuit, config, 50)
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth"])
+def test_noisy_density_shots_build_no_state(engine, monkeypatch):
+    circuit = _shot_circuits()["teleport"].with_global_noise(
+        NoiseSpec.uniform("dephasing", 0.2, 2))
+    config = RunConfig(engine=engine, representation="density", seed=8)
+    expected = _shots_by_run(circuit, config, 60)
+
+    def refuse(self):
+        raise AssertionError("run_shots built a DensityMatrix")
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+    assert run_shots(circuit, config, 60) == expected
+
+
+@pytest.mark.parametrize("representation", ["wave", "density"])
+def test_dense_trace_is_the_product_over_groups(representation):
+    backend = DenseGroups([[0], [1, 2], [3]], representation)
+    density = representation == "density"
+    for ins in (h(0), cx(1, 2), ry(3, 0.4)):
+        op = step_operator(ins.gate, None, density)
+        backend.apply(2 * op, ins.targets)  # scales the norm squared, or the trace, by 4 or 2
+    assert len(set(map(id, backend.owner))) == 3
+    assert backend.trace() == pytest.approx(64.0 if not density else 8.0)
 
 
 def _snapshot(backend):

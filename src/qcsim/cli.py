@@ -129,13 +129,16 @@ def _block_layout(shape, indent: int) -> list:
     The text is what json.dumps(..., indent=2) writes for the block's
     [re, im] pairs as items of a list on a line indented by `indent`
     spaces. A float's text is float.__repr__, as the JSON encoder writes
-    it for a finite float.
+    it for a finite float. Every row of the block has the same text, so
+    each level is one rendered row joined `size` times.
     """
-    nested = [0, 0]
-    for size in reversed(shape):
-        nested = [nested] * size
-    text = json.dumps(nested, indent=2)[1:-2].replace("\n", "\n" + " " * indent)
-    pieces = text.split("0")
+    def pad(level):
+        return "\n" + " " * (indent + 2 * level)
+
+    row = f"[{pad(len(shape) + 1)}0,{pad(len(shape) + 1)}0{pad(len(shape))}]"
+    for level in reversed(range(1, len(shape))):
+        row = "[" + ",".join([pad(level + 1) + row] * shape[level]) + pad(level) + "]"
+    pieces = ",".join([pad(1) + row] * shape[0]).split("0")
     layout = [""] * (2 * len(pieces) - 1)
     layout[::2] = pieces
     return layout

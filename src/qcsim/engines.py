@@ -20,7 +20,7 @@ The engine selects the backend the loop drives:
 
 * ``simple`` — the dense backend (`DenseGroups`) started from one group of
   all qubits: each gate step, with its noise folded in, is one operator
-  contracted into the state on its target axes only.
+  contracted into the state on its target axes only (`gates.apply_local`).
 * ``depth``  — the same dense backend started from one group per qubit:
   unentangled qubits stay in independent groups, merged only when a
   two-qubit gate spans two groups. Merges do not reorder qubits; the
@@ -28,6 +28,16 @@ The engine selects the backend the loop drives:
 * ``mps``    — a matrix product state (`MPSState`): truncated-SVD splits,
   SWAPs that are never undone for distant pairs, and measurements read at
   the chain's orthogonality centre; wave functions only.
+
+For the two dense engines, `_schedule` fuses steps (`_fuse`): each run of
+unconditioned 1-qubit steps on a qubit is multiplied into the operator of
+the next unconditioned 2-qubit step on that qubit, as qsim and Qiskit Aer
+do. On a density matrix the operators are Liouville superoperators, so
+the run's noise is folded in as well. No step moves past a measurement or
+a conditioned step on its qubit, and steps past the depth cut-off are
+dropped before fusing. The MPS engine keeps one step per instruction: its
+1-qubit steps are cheap einsums on one site, and folding them into
+two-qubit steps would not pay.
 
 A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
 ``collapse(qubit, outcome)``, ``copy()``, which returns an independent
@@ -48,7 +58,7 @@ import numpy as np
 
 from . import state as st
 from .circuit import MEASURE, Circuit, instruction_layers
-from .gates import apply_on_qubits
+from .gates import apply_local, apply_on_qubits
 from .mps import MPSState
 from .noise import step_operator
 from .state import DensityMatrix, MeasurementRecord, PureState
@@ -145,18 +155,53 @@ def _schedule(circuit: Circuit, config: RunConfig):
     """The steps that run, in order, and the number of layers they span.
 
     A step is an instruction and its operator (None for a measurement).
-    Instructions scheduled past the depth cut-off are left out.
+    Instructions scheduled past the depth cut-off are left out, before the
+    dense engines fuse the rest (`_fuse`).
     """
     layers = instruction_layers(circuit)
     stop = max(layers, default=0)
     if config.max_depth is not None:
         stop = min(config.max_depth, stop)
-    density = config.representation == DENSITY
-    return [
+    density, embeddings = config.representation == DENSITY, {}
+    steps = [
         (ins, None if ins.kind == MEASURE
-         else step_operator(ins.gate, circuit.effective_noise(ins), density))
+         else step_operator(ins.gate, circuit.effective_noise(ins), density, embeddings))
         for ins, layer in zip(circuit.instructions, layers) if layer <= stop
-    ], stop
+    ]
+    return (steps if config.engine == MPS else _fuse(steps, density)), stop
+
+
+def _fuse(steps, density: bool) -> list:
+    """Fold each run of unconditioned 1-qubit steps into the next
+    unconditioned 2-qubit step on its qubit.
+
+    A run's operators multiply into one, which the 2-qubit step's operator
+    takes on the run's slot; on a density matrix these are superoperators,
+    so the run's noise folds in too. A run that no such step takes is
+    flushed as one step of its own at the next measurement (every pending
+    run), before a conditioned step on its qubit, or at the end.
+    """
+    fused, pending = [], {}  # pending[q]: (first instruction, operator) of q's run
+
+    def flush(qubits):
+        fused.extend(pending.pop(q) for q in qubits if q in pending)
+
+    for ins, op in steps:
+        if op is None or ins.condition is not None:
+            flush(list(pending) if op is None else ins.targets)
+            fused.append((ins, op))
+        elif len(ins.targets) == 1:
+            q = ins.targets[0]
+            pending[q] = (pending[q][0], op @ pending[q][1]) if q in pending else (ins, op)
+        else:
+            for slot, q in enumerate(ins.targets):
+                if q in pending:
+                    # op @ R, where R is the run on its slot, is (R^T op^T)^T
+                    run_op = pending.pop(q)[1]
+                    op = apply_local(op.T, run_op.T, [slot, 2 + slot][:1 + density]).T
+            fused.append((ins, op))
+    flush(list(pending))
+    return fused
 
 
 def _measurements(steps) -> int:

@@ -132,6 +132,8 @@ def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
     Bit axis 0 is the most significant bit of the C-order index; axes[0]
     carries the operator's most significant local bit. Runs of other bits
     stay merged, as numpy copies many length-2 axes in tiny inner loops.
+    One transpose brings the target axes to the front, one matmul applies
+    the operator, and one transpose puts the axes back.
     """
     shape, where, start = [], {}, 0
     for a in sorted(axes):
@@ -139,11 +141,14 @@ def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
         where[a] = len(shape) - 1
         start = a + 1
     shape.append(tensor.size // 2**start)
-    local = [where[a] for a in axes]
-    k = len(axes)
-    op = np.reshape(mat, [2] * (2 * k))
-    out = np.tensordot(op, tensor.reshape(shape), (list(range(k, 2 * k)), local))
-    return np.moveaxis(out, list(range(k)), local).reshape(tensor.shape)
+    order = [where[a] for a in axes]
+    order += [i for i in range(len(shape)) if i not in order]
+    front = tensor.reshape(shape).transpose(order)
+    out = np.matmul(mat, front.reshape(len(mat), -1)).reshape(front.shape)
+    back = [0] * len(order)
+    for i, axis in enumerate(order):
+        back[axis] = i
+    return out.transpose(back).reshape(tensor.shape)
 
 
 def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:

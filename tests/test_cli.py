@@ -447,6 +447,20 @@ class TestStateSerialization:
         assert proc.wait(timeout=120) == 1
         assert err.startswith("error: cannot write to stdout: [Errno 32]") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("shape", [(1,), (4,), (1024,), (8, 128), (3, 5), (2, 3, 4)])
+    @pytest.mark.parametrize("indent", range(7))
+    def test_block_layout_is_the_json_text(self, shape, indent):
+        """The layout's text is json.dumps of the block's [re, im] pairs,
+        cut out of its list and indented, with each float at an odd item."""
+        nested = [0, 0]
+        for size in reversed(shape):
+            nested = [nested] * size
+        text = json.dumps(nested, indent=2)[1:-2].replace("\n", "\n" + " " * indent)
+        layout = cli._block_layout(shape, indent)
+        assert layout[1::2] == [""] * (2 * int(np.prod(shape)))
+        layout[1::2] = ["0"] * len(layout[1::2])
+        assert "".join(layout) == text
+
 
 class TestRandom:
     def test_two_qubit_depth_two_contains_one_cx(self, tmp_path):

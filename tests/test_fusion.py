@@ -1,0 +1,194 @@
+"""Fusion of 1-qubit steps into 2-qubit steps, against an unfused replay.
+
+The dense engines fold each run of unconditioned 1-qubit steps into the
+next unconditioned 2-qubit step on its qubit (`engines._fuse`). The oracle
+here is the schedule without fusion: one step per instruction before the
+depth cut-off, each operator built on its own.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from test_engines import _shot_circuits, cx, h, ry, x
+from qcsim import engines
+from qcsim.circuit import MEASURE, Circuit, instruction_layers, measure, random_circuit
+from qcsim.engines import RunConfig, run, run_shots
+from qcsim.gates import apply_on_qubits
+from qcsim.noise import NoiseSpec, channel_from_kind, step_operator
+
+KINDS = ("dephasing", "depolarizing", "amplitude_damping")
+
+
+def unfused_schedule(circuit, config):
+    """Oracle: one step per instruction up to the cut-off, as in `engines._schedule`
+    before fusion, with each operator built alone."""
+    layers = instruction_layers(circuit)
+    stop = max(layers, default=0)
+    if config.max_depth is not None:
+        stop = min(config.max_depth, stop)
+    density = config.representation == "density"
+    return [
+        (ins, None if ins.kind == MEASURE
+         else step_operator(ins.gate, circuit.effective_noise(ins), density))
+        for ins, layer in zip(circuit.instructions, layers) if layer <= stop
+    ], stop
+
+
+def _with_overrides(circuit, rng):
+    """Per-instruction noise on a third of the gates, random kinds, slots and strengths."""
+    instructions = list(circuit.instructions)
+    for i, ins in enumerate(instructions):
+        if ins.kind != MEASURE and rng.random() < 1 / 3:
+            slots = [s for s in range(ins.gate.arity) if rng.random() < 0.7] or [0]
+            spec = NoiseSpec({s: channel_from_kind(KINDS[rng.integers(3)],
+                                                   float(rng.uniform(0.02, 0.3)))
+                              for s in slots})
+            instructions[i] = replace(ins, noise=spec)
+    return circuit.with_instructions(instructions)
+
+
+def _cases():
+    """(name, circuit, representation) covering wave, density, each global
+    channel kind and per-gate overrides, with and without measurements."""
+    rng = np.random.default_rng(5)
+    shots = _shot_circuits()
+    cases = []
+    for seed in range(3):
+        c = random_circuit(5, 10, seed)
+        cases += [(f"random{seed}", c, "wave"), (f"random{seed}", c, "density")]
+    for name in ("teleport", "end", "conditional", "twice", "one_bit", "overwrite"):
+        cases += [(name, shots[name], "wave"), (name, shots[name], "density")]
+    for kind in KINDS:
+        for name, c in (("random", random_circuit(4, 9, 3)), ("teleport", shots["teleport"])):
+            cases.append((f"{name}-{kind}", c.with_global_noise(NoiseSpec.uniform(kind, 0.15, 2)),
+                          "density"))
+        one_slot = NoiseSpec({0: channel_from_kind(kind, 0.2)})
+        cases.append((f"slot0-{kind}", random_circuit(4, 8, 4).with_global_noise(one_slot),
+                      "density"))
+    for name, c in (("random", random_circuit(5, 12, 9)), ("end", shots["end"]),
+                    ("conditional", shots["conditional"])):
+        cases.append((f"overrides-{name}", _with_overrides(c, rng), "density"))
+    return cases
+
+
+def _unfused(monkeypatch):
+    monkeypatch.setattr(engines, "_schedule", unfused_schedule)
+
+
+def _raw(state):
+    return state.amplitudes if hasattr(state, "amplitudes") else state.matrix
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth"])
+def test_fused_run_matches_unfused_replay(engine, monkeypatch):
+    for name, circuit, repr_ in _cases():
+        configs = [RunConfig(engine=engine, representation=repr_, seed=seed) for seed in (0, 3)]
+        configs += [replace(configs[0], max_depth=d) for d in (1, 2, 5)]
+        for config in configs:
+            fused = run(circuit, config)
+            with monkeypatch.context() as patch:
+                _unfused(patch)
+                oracle = run(circuit, config)
+            assert fused.classical_bits == oracle.classical_bits, (name, config)
+            assert fused.layers_executed == oracle.layers_executed
+            assert [(r.qubit_index, r.classical_bit, r.outcome) for r in fused.measurements] == [
+                (r.qubit_index, r.classical_bit, r.outcome) for r in oracle.measurements]
+            assert np.allclose([r.probability_of_outcome for r in fused.measurements],
+                               [r.probability_of_outcome for r in oracle.measurements],
+                               rtol=0, atol=1e-12)
+            diff = np.abs(_raw(fused.final_state) - _raw(oracle.final_state)).max()
+            assert diff < 1e-12, (name, config, diff)
+
+
+def _segments(steps):
+    """The barriers of a schedule (measurements and conditioned steps) and the
+    runs of other steps between them."""
+    segments, barriers = [[]], []
+    for ins, op in steps:
+        if op is None or ins.condition is not None:
+            barriers.append((ins, op))
+            segments.append([])
+        else:
+            segments[-1].append((ins, op))
+    return segments, barriers
+
+
+def _apply(state, steps):
+    for ins, op in steps:
+        state = apply_on_qubits(state, op, ins.targets)
+    return state
+
+
+@pytest.mark.parametrize("representation", ["wave", "density"])
+def test_no_step_moves_past_a_barrier(representation):
+    """Between two barriers the fused steps act as the unfused ones do, and the
+    barriers are the same steps in the same order."""
+    rng = np.random.default_rng(8)
+    for name, circuit, repr_ in _cases():
+        if repr_ != representation:
+            continue
+        config = RunConfig(representation=repr_)
+        fused, _ = engines._schedule(circuit, config)
+        oracle, _ = unfused_schedule(circuit, config)
+        fused_segments, fused_barriers = _segments(fused)
+        oracle_segments, oracle_barriers = _segments(oracle)
+        assert [ins for ins, _ in fused_barriers] == [ins for ins, _ in oracle_barriers]
+        for (_, a), (_, b) in zip(fused_barriers, oracle_barriers):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        shape = (2**circuit.num_qubits,) * (1 if repr_ == "wave" else 2)
+        for got, want in zip(fused_segments, oracle_segments):
+            state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.abs(_apply(state, got) - _apply(state, want)).max() < 1e-12, name
+
+
+def test_one_qubit_runs_flush_at_barriers():
+    ry0, m1, cx01 = ry(0, 0.4), measure(1, 0), cx(0, 1)
+    steps, _ = engines._schedule(Circuit(2, 1, [ry0, m1, cx01]), RunConfig())
+    assert [ins for ins, _ in steps] == [ry0, m1, cx01]
+    assert np.array_equal(steps[2][1], cx01.gate.matrix)
+    # a conditioned step flushes the run on its own qubit only
+    cond0, cond1, h1 = x(0, condition=(0, 1)), x(1, condition=(0, 1)), h(1)
+    steps, _ = engines._schedule(Circuit(2, 1, [ry0, h1, cond0, cx01]), RunConfig())
+    assert [ins for ins, _ in steps] == [ry0, cond0, cx01]
+    assert np.allclose(steps[2][1], cx01.gate.matrix @ np.kron(np.eye(2), h1.gate.matrix))
+    steps, _ = engines._schedule(Circuit(2, 1, [ry0, cond1, cx01]), RunConfig())
+    assert [ins for ins, _ in steps] == [cond1, cx01]
+    # a run that no 2-qubit step takes is one step at the end
+    steps, _ = engines._schedule(Circuit(2, 0, [ry0, h(0), h1]), RunConfig())
+    assert [ins for ins, _ in steps] == [ry0, h1]
+    assert np.allclose(steps[0][1], h(0).gate.matrix @ ry0.gate.matrix)
+
+
+def test_fusion_cuts_the_steps_of_a_random_circuit():
+    circuit = random_circuit(10, 30, 12)
+    assert len(unfused_schedule(circuit, RunConfig())[0]) == 218
+    for engine in ("simple", "depth"):
+        assert len(engines._schedule(circuit, RunConfig(engine=engine))[0]) <= 70
+    assert len(engines._schedule(circuit, RunConfig(engine="mps"))[0]) == 218
+
+
+def _measured(circuit):
+    n = circuit.num_qubits
+    return Circuit(n, n, list(circuit.instructions) + [measure(q, q) for q in range(n)])
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth", "mps"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_shot_counts_match_unfused_replay(engine, seed, monkeypatch):
+    shots = _shot_circuits()
+    cases = [(c, "wave") for c in (shots["teleport"], shots["conditional"], shots["overwrite"],
+                                   _measured(random_circuit(5, 8, seed)))]
+    if engine != "mps":
+        noisy = _measured(random_circuit(4, 8, seed))
+        cases += [(c, "density") for c in (shots["teleport"], shots["depolarizing"])]
+        cases += [(noisy.with_global_noise(NoiseSpec.uniform(kind, 0.1, 2)), "density")
+                  for kind in KINDS]
+    for circuit, repr_ in cases:
+        config = RunConfig(engine=engine, representation=repr_, seed=seed)
+        fused = run_shots(circuit, config, 150)
+        with monkeypatch.context() as patch:
+            _unfused(patch)
+            oracle = run_shots(circuit, config, 150)
+        assert list(fused.items()) == list(oracle.items())

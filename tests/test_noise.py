@@ -10,7 +10,9 @@ from oracles import (
     pure_to_density,
     zero_density,
 )
+from qcsim import engines, noise
 from qcsim.circuit import Circuit, gate_app
+from qcsim.engines import RunConfig
 from qcsim.gates import apply_on_qubits, make_gate
 from qcsim.noise import (
     COMPLETENESS_ATOL,
@@ -308,3 +310,62 @@ def test_step_operator_invariants():
                 assert op.shape == (4**gate.arity, 4**gate.arity)
                 assert np.abs(vec_identity @ op - vec_identity).max() < 1e-12, (
                     gate.name, spec.to_dict())
+
+
+def per_gate_formula(gate, spec):
+    """Oracle: D_post (U (x) conj(U)) N_pre from full embeddings of each
+    slot's superoperator on its (row, column) bits, identity where no
+    channel acts."""
+    k = gate.arity
+    pre = post = np.eye(4**k, dtype=complex)
+    for slot, ch in spec.per_qubit_channels.items():
+        # bit axis a of the 4^k index is qubit 2k-1-a of embed_operator
+        full = embed_operator(ch.superoperator, [2 * k - 1 - slot, k - 1 - slot], 2 * k)
+        if ch.kind == "depolarizing":
+            post = full @ post
+        else:
+            pre = full @ pre
+    u = gate.matrix
+    return post @ np.kron(u, u.conj()) @ pre
+
+
+def test_noise_embeddings_built_once_per_channel_set(monkeypatch):
+    """A schedule builds each channel set's embeddings once, and every step
+    still equals the per-gate formula."""
+    built = []
+    embeddings = noise._embeddings
+    monkeypatch.setattr(noise, "_embeddings",
+                        lambda spec, arity: built.append(arity) or embeddings(spec, arity))
+    # one strength per kind, so that sets differ only in their slots too
+    strength = {dephasing: 0.2, depolarizing: 0.3, amplitude_damping: 0.4}
+    gates = [make_gate("RX", [0.7]), make_gate("CX"), make_gate("U3", [0.1, 0.2, 0.3])]
+    instructions, sets = [], set()
+    for gate in gates:
+        slot_sets = [(0,)] if gate.arity == 1 else [(0,), (1,), (0, 1)]
+        for slots in slot_sets:
+            for chosen in itertools.product(strength, repeat=len(slots)):
+                for _ in range(3):  # fresh but equal channels each time
+                    spec = NoiseSpec({s: make(strength[make]) for s, make in zip(slots, chosen)})
+                    instructions.append(gate_app(gate, tuple(range(gate.arity)), noise=spec))
+                sets.add((gate.arity, slots, chosen))
+    circuit = Circuit(2, 0, instructions)
+    engines._schedule(circuit, RunConfig(representation="density", engine="depth"))
+    assert len(built) == len(sets)
+    cache = {}
+    for ins in instructions:
+        op = step_operator(ins.gate, ins.noise, True, cache)
+        assert np.abs(op - per_gate_formula(ins.gate, ins.noise)).max() < 1e-15
+    assert len(cache) == len(sets)
+
+
+def test_direct_channel_gets_its_own_operator():
+    """Same kind and strength as a factory channel, other Kraus operators."""
+    factory = dephasing(0.3)
+    direct = NoiseChannel("dephasing", 0.3, amplitude_damping(0.3).kraus_ops)
+    cache = {}
+    for gate in (make_gate("H"), make_gate("CX")):
+        ops = [step_operator(gate, NoiseSpec({0: ch}), True, cache) for ch in (factory, direct)]
+        assert np.abs(ops[0] - ops[1]).max() > 0.1
+        for op, ch in zip(ops, (factory, direct)):
+            assert np.abs(op - per_gate_formula(gate, NoiseSpec({0: ch}))).max() < 1e-15
+    assert len(cache) == 4

@@ -1,0 +1,66 @@
+"""Gate steps and simulate time of the dense engines, and the criterion-6 curves.
+
+    OPENBLAS_NUM_THREADS=1 python tools/step_bench.py [--reps 3]
+
+qcsim is imported from the `src/` of the checkout that holds this script,
+so the same script measures any commit. For each circuit it prints, on
+the `simple` and `depth` engines, the gate steps before fusion (one per
+instruction up to the depth cut-off), the steps that the engine's schedule
+runs, and the best wall time of `run` over the repetitions. Wave circuits
+have 10, 16 and 20 qubits; density circuits have 7 and 9 qubits under
+global dephasing 0.02. Then it prints the depth sweep of acceptance
+criterion 6 (10 qubits, depths 5 to 30, seed 12, median of 3) for
+`simple` and `mps`, with each curve's max/min ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qcsim import engines  # noqa: E402
+from qcsim.bench import bench_depth_sweep  # noqa: E402
+from qcsim.circuit import instruction_layers, random_circuit  # noqa: E402
+from qcsim.engines import RunConfig, run  # noqa: E402
+from qcsim.noise import NoiseSpec  # noqa: E402
+
+# (qubits, depth, representation); every circuit uses seed 1
+CIRCUITS = [(10, 30, "wave"), (16, 20, "wave"), (20, 10, "wave"),
+            (7, 15, "density"), (9, 15, "density")]
+CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reps", type=int, default=3)
+    args = parser.parse_args(argv)
+    print("circuit,engine,steps_unfused,steps,best_s")
+    for qubits, depth, representation in CIRCUITS:
+        circuit = random_circuit(qubits, depth, 1)
+        if representation == "density":
+            circuit = circuit.with_global_noise(NoiseSpec.uniform("dephasing", 0.02, 2))
+        unfused = len(instruction_layers(circuit))
+        for engine in ("simple", "depth"):
+            config = RunConfig(representation=representation, engine=engine)
+            steps = len(engines._schedule(circuit, config)[0])
+            times = []
+            for _ in range(args.reps):
+                start = time.perf_counter()
+                run(circuit, config)
+                times.append(time.perf_counter() - start)
+            print(f"{representation}-{qubits}q-d{depth},{engine},{unfused},{steps},"
+                  f"{min(times):.4f}")
+    c6 = CRITERION_6
+    print(f"\ncriterion 6: {c6['qubits']} qubits, depths {c6['depths']}, median of 3 (ms)")
+    for engine in ("simple", "mps"):
+        points = bench_depth_sweep(c6["qubits"], c6["depths"], engine, 3, c6["seed"])
+        ms = [p.wall_time_seconds * 1e3 for p in points]
+        print(f"{engine}: {', '.join(f'{t:.1f}' for t in ms)}; max/min {max(ms) / min(ms):.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gates import Gate, make_gate
+from .gates import GATE_SIGNATURES, Gate, make_gate
 from .noise import NoiseSpec, check_slots
 
 GATE_APP = "gate"
@@ -170,9 +170,8 @@ def depth(circuit: Circuit) -> int:
 
 def _random_1q_gate(rng: np.random.Generator) -> Gate:
     name = RANDOM_1Q_POOL[rng.integers(len(RANDOM_1Q_POOL))]
-    if name in ("RX", "RY", "RZ"):
-        return make_gate(name, [rng.uniform(0.0, 2.0 * np.pi)])
-    return make_gate(name)
+    nparams = GATE_SIGNATURES[name][1]
+    return make_gate(name, [rng.uniform(0.0, 2.0 * np.pi) for _ in range(nparams)])
 
 
 def random_circuit(num_qubits: int, target_depth: int, seed: int) -> Circuit:

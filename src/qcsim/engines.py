@@ -9,8 +9,8 @@ the density representation.
 
 `_execute` is the one loop that executes instructions. It walks the tree
 of measurement outcomes for a set of shots: once the circuit is fixed, so
-is the state after each string of outcomes (noise is folded into each
-step's operator), so each branch that some shot takes is simulated once.
+is the state after each string of outcomes (noise channels are steps of
+the schedule too), so each branch that some shot takes is simulated once.
 `run` walks the single path of one shot and records its measurements;
 `run_shots` walks all its shots at once and counts them at the leaves.
 Each shot draws what `run` draws with that shot's seed, by the same numpy
@@ -19,7 +19,7 @@ calls on the same arrays, so the counts equal one `run` per shot exactly.
 The engine selects the backend the loop drives:
 
 * ``simple`` — the dense backend (`DenseGroups`) started from one group of
-  all qubits: each gate step, with its noise folded in, is one operator
+  all qubits: each step, a gate's or a noise channel's, is one operator
   contracted into the state on its target axes only (`gates.apply_local`).
 * ``depth``  — the same dense backend started from one group per qubit:
   unentangled qubits stay in independent groups, merged only when a
@@ -32,19 +32,19 @@ The engine selects the backend the loop drives:
 For the two dense engines, `_schedule` fuses steps (`_fuse`): each run of
 unconditioned 1-qubit steps on a qubit is multiplied into the operator of
 the next unconditioned 2-qubit step on that qubit, as qsim and Qiskit Aer
-do. On a density matrix the operators are Liouville superoperators, so
-the run's noise is folded in as well. No step moves past a measurement or
-a conditioned step on its qubit, and steps past the depth cut-off are
-dropped before fusing. The MPS engine keeps one step per instruction: its
-1-qubit steps are cheap einsums on one site, and folding them into
-two-qubit steps would not pay.
+do. On a density matrix the operators are Liouville superoperators, and
+each noise channel is a 1-qubit step, so fusion folds the channels in as
+well. No step moves past a measurement or a conditioned step on its
+qubit, and steps past the depth cut-off are dropped before fusing. The
+MPS engine keeps one step per instruction: its 1-qubit steps are cheap
+einsums on one site, and folding them into two-qubit steps would not pay.
 
 A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
 ``collapse(qubit, outcome)``, ``copy()``, which returns an independent
 backend in the same state, ``trace()``, the state's norm squared (the
 trace of a density matrix), read without building the state, and
 ``export()``, which returns the validated final state; `_schedule` builds
-each gate's ``op`` once per circuit. Only `run` exports: `run_shots`
+each step's ``op`` once per circuit. Only `run` exports: `run_shots`
 returns counts, and checks each leaf's ``trace()`` instead.
 """
 
@@ -53,14 +53,14 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import state as st
 from .circuit import MEASURE, Circuit, instruction_layers
-from .gates import apply_local, apply_on_qubits
+from .gates import apply_local, apply_on_qubits, step_operator
 from .mps import MPSState
-from .noise import step_operator
 from .state import DensityMatrix, MeasurementRecord, PureState
 
 WAVE = "wave"
@@ -151,23 +151,40 @@ def _backend(circuit: Circuit, config: RunConfig):
     return DenseGroups(blocks, config.representation)
 
 
+class _ChannelStep(NamedTuple):
+    """What the loop reads of the instruction behind a noise channel's step."""
+
+    targets: tuple
+    condition: tuple | None
+
+
 def _schedule(circuit: Circuit, config: RunConfig):
     """The steps that run, in order, and the number of layers they span.
 
-    A step is an instruction and its operator (None for a measurement).
-    Instructions scheduled past the depth cut-off are left out, before the
-    dense engines fuse the rest (`_fuse`).
+    A step is an instruction and its operator (None for a measurement). On a
+    density matrix each noise slot of a gate is a 1-qubit step of its own,
+    with its channel's superoperator and the gate's condition, before or
+    after the gate's step (`NoiseChannel.after_gate`). Instructions
+    scheduled past the depth cut-off are left out, with their channels,
+    before the dense engines fuse the rest (`_fuse`).
     """
     layers = instruction_layers(circuit)
     stop = max(layers, default=0)
     if config.max_depth is not None:
         stop = min(config.max_depth, stop)
-    density, embeddings = config.representation == DENSITY, {}
-    steps = [
-        (ins, None if ins.kind == MEASURE
-         else step_operator(ins.gate, circuit.effective_noise(ins), density, embeddings))
-        for ins, layer in zip(circuit.instructions, layers) if layer <= stop
-    ]
+    density, steps = config.representation == DENSITY, []
+    for ins, layer in zip(circuit.instructions, layers):
+        if layer > stop:
+            continue
+        if ins.kind == MEASURE:
+            steps.append((ins, None))
+            continue
+        spec = circuit.effective_noise(ins) if density else None
+        channels = [(_ChannelStep((ins.targets[slot],), ins.condition), ch)
+                    for slot, ch in spec.per_qubit_channels.items()] if spec else []
+        steps += [(at, ch.superoperator) for at, ch in channels if not ch.after_gate]
+        steps.append((ins, step_operator(ins.gate, density)))
+        steps += [(at, ch.superoperator) for at, ch in channels if ch.after_gate]
     return (steps if config.engine == MPS else _fuse(steps, density)), stop
 
 

@@ -101,8 +101,18 @@ def _u3(theta, phi, lam):
     )
 
 
+_ROTATIONS = {"RX": _rx, "RY": _ry, "RZ": _rz, "U3": _u3}
+
+# each fixed gate is built, and its unitarity checked, once
+_FIXED_GATES = {name: Gate(name, GATE_SIGNATURES[name][0], (), mat)
+                for name, mat in {**_FIXED_1Q, **_FIXED_2Q}.items()}
+
+
 def make_gate(name: str, params=()) -> Gate:
-    """Construct a gate by name; `params` are angles in radians."""
+    """Construct a gate by name; `params` are angles in radians.
+
+    A fixed gate is one shared `Gate` per name.
+    """
     params = tuple(float(p) for p in params)
     if name not in GATE_SIGNATURES:
         raise ValueError(f"unknown gate {name!r}")
@@ -111,19 +121,9 @@ def make_gate(name: str, params=()) -> Gate:
         raise ValueError(
             f"gate {name} takes {nparams} parameter(s), got {len(params)}"
         )
-    if name in _FIXED_1Q:
-        mat = _FIXED_1Q[name]
-    elif name in _FIXED_2Q:
-        mat = _FIXED_2Q[name]
-    elif name == "RX":
-        mat = _rx(params[0])
-    elif name == "RY":
-        mat = _ry(params[0])
-    elif name == "RZ":
-        mat = _rz(params[0])
-    else:
-        mat = _u3(*params)
-    return Gate(name, arity, params, mat)
+    if name in _FIXED_GATES:
+        return _FIXED_GATES[name]
+    return Gate(name, arity, params, _ROTATIONS[name](*params))
 
 
 def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
@@ -155,7 +155,18 @@ def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
     """Contract `op` into a raw state on the axes of `targets`, in one pass.
 
     The axes are those of `state.bit_axes`; on a density matrix, `op` is a
-    superoperator on the rows then the columns (`noise.step_operator`).
+    superoperator on the rows then the columns (`step_operator`).
     """
     n = state.shape[0].bit_length() - 1
     return apply_local(state, op, bit_axes(n, targets, state.ndim))
+
+
+def step_operator(gate: Gate, density: bool) -> np.ndarray:
+    """The operator that a step of `gate` applies: U on a wave state, and on
+    a density matrix the Liouville superoperator U (x) conj(U) on the
+    targets' row bits, then their column bits."""
+    u = gate.matrix
+    if not density:
+        return u
+    # kron(U, conj(U)), without np.kron's per-call overhead
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(len(u) ** 2, -1)

@@ -1,4 +1,4 @@
-"""Kraus noise channels and the operator that each gate step applies.
+"""Kraus noise channels and the per-gate noise attachment.
 
 Three named channels are provided, each parametrized by a strength
 ``epsilon`` in [0, 1]:
@@ -14,13 +14,10 @@ combine as a tensor product. Every channel carries an explicit Kraus
 decomposition satisfying sum_k E_k^+ E_k = I, and its superoperator
 sum_k E_k (x) conj(E_k) on the qubit's row and column bits.
 
-`step_operator` folds a gate and its channels into one such operator per
-gate step: U (x) conj(U) with no noise, with the channels' pre and post
-superoperators multiplied in otherwise. A schedule passes one dict in
-which these embeddings are built once per distinct channel set, keyed by
-each slot's kind and superoperator, so two channel objects that act alike
-share them and a hand-built channel of the same kind and strength but
-other Kraus operators does not.
+The engines apply each slot's channel as a 1-qubit step of its own, with
+that superoperator as its operator, before or after the gate's step as
+`NoiseChannel.after_gate` says; fusion then folds it into the steps around
+it like any other 1-qubit step (`engines._fuse`).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate, apply_local
+from .gates import Gate
 
 COMPLETENESS_ATOL = 1e-12
 
@@ -63,6 +60,12 @@ class NoiseChannel:
         object.__setattr__(
             self, "superoperator", sum(np.kron(op, op.conj()) for op in ops)
         )
+
+    @property
+    def after_gate(self) -> bool:
+        """True if the channel acts after its gate (depolarizing), False if
+        before it (dephasing, amplitude damping)."""
+        return self.kind == DEPOLARIZING
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -169,45 +172,3 @@ def check_slots(gate: Gate, spec: NoiseSpec | None) -> None:
     slot = max(spec.per_qubit_channels, default=0) if spec else 0
     if slot >= gate.arity:
         raise ValueError(f"gate {gate.name} has no target for noise slot {slot}")
-
-
-def _embeddings(spec: NoiseSpec, arity: int) -> tuple:
-    """The (pre, post) superoperators of `spec`'s channels on a step of
-    `arity` targets; None where no channel acts."""
-    identity = pre = post = np.eye(4**arity, dtype=np.complex128)
-    for slot, ch in spec.per_qubit_channels.items():
-        if ch.kind == DEPOLARIZING:
-            post = apply_local(post, ch.superoperator, [slot, arity + slot])
-        else:
-            pre = apply_local(pre, ch.superoperator, [slot, arity + slot])
-    return (None if pre is identity else pre), (None if post is identity else post)
-
-
-def step_operator(gate: Gate, spec: NoiseSpec | None, density: bool,
-                  embeddings: dict | None = None) -> np.ndarray:
-    """The operator that one step of `gate` under noise `spec` applies.
-
-    A wave state gets the unitary U. A density matrix gets the Liouville
-    superoperator D_post (U (x) conj(U)) N_pre on the targets' row bits,
-    then their column bits: each slot's channel acts on its qubit's (row,
-    column) bits, dephasing and amplitude damping before U, depolarizing after.
-    Without noise that is U (x) conj(U) alone. `embeddings` maps each
-    channel set already seen to its (N_pre, D_post), so that a schedule
-    builds them once per set; the key is each slot's kind and
-    superoperator, not the channel object.
-    """
-    if not density:
-        return gate.matrix
-    u = gate.matrix  # kron(U, conj(U)), without np.kron's per-call overhead
-    op = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(len(u) ** 2, -1)
-    if spec is None or not spec.per_qubit_channels:
-        return op
-    key = (gate.arity, *sorted((slot, ch.kind, ch.superoperator.tobytes())
-                               for slot, ch in spec.per_qubit_channels.items()))
-    embeddings = {} if embeddings is None else embeddings
-    if key not in embeddings:
-        embeddings[key] = _embeddings(spec, gate.arity)
-    pre, post = embeddings[key]
-    if post is not None:
-        op = post @ op
-    return op if pre is None else op @ pre

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from oracles import embed_operator, gate_tensor_on, pure_to_density
+from test_noise import noisy_gate
 from qcsim.bench import bench_depth_sweep, fidelity_sweep
 from qcsim.circuit import Circuit, gate_app, measure, random_circuit
 from qcsim.engines import RunConfig, run, run_shots
-from qcsim.gates import apply_on_qubits, make_gate
+from qcsim.gates import make_gate
 from qcsim.noise import (
     NoiseSpec,
     amplitude_damping,
     dephasing,
     depolarizing,
-    step_operator,
 )
 from qcsim.qasm import emit_qasm, parse_qasm
 from qcsim.state import DensityMatrix, PureState, fidelity
@@ -94,19 +94,19 @@ def test_criterion_3_noise_oracle_equivalence():
         u = gate.matrix
 
         spec = NoiseSpec({0: dephasing(eps)})
-        out = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), [0])
+        out = noisy_gate(rho, gate, [0], spec)
         direct = u @ ((1 - eps) * rho.matrix + eps * z @ rho.matrix @ z) @ u.conj().T
         worst = max(worst, np.abs(out - direct).max())
 
         spec = NoiseSpec({0: depolarizing(eps)})
-        out = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), [0])
+        out = noisy_gate(rho, gate, [0], spec)
         direct = (1 - eps) * u @ rho.matrix @ u.conj().T + eps * np.eye(2) / 2
         worst = max(worst, np.abs(out - direct).max())
 
         a0 = np.array([[1, 0], [0, np.sqrt(1 - eps)]], dtype=complex)
         a1 = np.array([[0, np.sqrt(eps)], [0, 0]], dtype=complex)
         spec = NoiseSpec({0: amplitude_damping(eps)})
-        out = apply_on_qubits(rho.matrix, step_operator(gate, spec, True), [0])
+        out = noisy_gate(rho, gate, [0], spec)
         direct = u @ (a0 @ rho.matrix @ a0.conj().T
                       + a1 @ rho.matrix @ a1.conj().T) @ u.conj().T
         worst = max(worst, np.abs(out - direct).max())
@@ -125,7 +125,7 @@ def test_criterion_3_noise_oracle_equivalence():
         c0 = dephasing(float(rng.uniform(0, 1)))
         c1 = amplitude_damping(float(rng.uniform(0, 1)))
         spec = NoiseSpec({0: c0, 1: c1})
-        out = apply_on_qubits(rho.matrix, step_operator(cx, spec, True), [0, 1])
+        out = noisy_gate(rho, cx, [0, 1], spec)
         expected = np.zeros((4, 4), dtype=complex)
         for e0 in c0.kraus_ops:
             for e1 in c1.kraus_ops:

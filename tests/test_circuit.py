@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qcsim.circuit import (
 )
 from qcsim.gates import make_gate
 from qcsim.noise import NoiseSpec, dephasing
+from qcsim.qasm import emit_qasm
 
 
 def h(q):
@@ -102,6 +105,19 @@ class TestRandomCircuit:
         for ins in c.instructions:
             if ins.gate.arity == 2:
                 assert abs(ins.targets[0] - ins.targets[1]) == 1
+
+    @pytest.mark.parametrize("args, digest", [
+        ((2, 5, 0), "0054da1fb21cf2a209133082de649e58"),
+        ((5, 10, 1), "55eb249f2212b594cde62f6be7b1ba30"),
+        ((7, 15, 7), "5c3838d88936a27444f6bf4d787a820d"),
+        ((10, 30, 12), "d0827cd54f0d43738584320f589639ce"),
+        ((3, 40, 123), "5abca549d2497660607ed34e4a12a085"),
+    ])
+    def test_emitted_qasm_is_pinned(self, args, digest):
+        # sha256 prefixes of the QASM text: the same gates and angles, drawn
+        # in the same order, as the generator has always produced
+        text = emit_qasm(random_circuit(*args))
+        assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

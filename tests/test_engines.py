@@ -18,9 +18,9 @@ from oracles import gate_tensor_on, pure_to_density
 from qcsim import engines
 from qcsim import state as st
 from qcsim.engines import ConfigError, DenseGroups, RunConfig, run, run_shots
-from qcsim.gates import make_gate
+from qcsim.gates import make_gate, step_operator
 from qcsim.mps import BondOverflowError, MPSState
-from qcsim.noise import NoiseSpec, step_operator
+from qcsim.noise import NoiseSpec
 from qcsim.state import DensityMatrix, PureState, fidelity
 
 
@@ -548,7 +548,7 @@ def test_dense_trace_is_the_product_over_groups(representation):
     backend = DenseGroups([[0], [1, 2], [3]], representation)
     density = representation == "density"
     for ins in (h(0), cx(1, 2), ry(3, 0.4)):
-        op = step_operator(ins.gate, None, density)
+        op = step_operator(ins.gate, density)
         backend.apply(2 * op, ins.targets)  # scales the norm squared, or the trace, by 4 or 2
     assert len(set(map(id, backend.owner))) == 3
     assert backend.trace() == pytest.approx(64.0 if not density else 8.0)
@@ -565,13 +565,13 @@ def test_dense_copy_is_independent_after_a_merge(representation):
     backend = DenseGroups([[q] for q in range(4)], representation)
     density = representation == "density"
     for ins in (h(0), cx(0, 2), ry(3, 0.4)):
-        backend.apply(step_operator(ins.gate, None, density), ins.targets)
+        backend.apply(step_operator(ins.gate, density), ins.targets)
     before = _snapshot(backend)
     twin = backend.copy()
     assert twin.owner[0] is twin.owner[2] and twin.owner[0] is not backend.owner[0]
     assert twin.owner[1] is not twin.owner[3]
     assert _snapshot(twin) == before
-    twin.apply(step_operator(cx(2, 3).gate, None, density), (2, 3))
+    twin.apply(step_operator(cx(2, 3).gate, density), (2, 3))
     twin.collapse(0, 1)
     assert _snapshot(backend) == before
     assert _snapshot(twin) != before

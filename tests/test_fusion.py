@@ -1,9 +1,11 @@
 """Fusion of 1-qubit steps into 2-qubit steps, against an unfused replay.
 
 The dense engines fold each run of unconditioned 1-qubit steps into the
-next unconditioned 2-qubit step on its qubit (`engines._fuse`). The oracle
-here is the schedule without fusion: one step per instruction before the
-depth cut-off, each operator built on its own.
+next unconditioned 2-qubit step on its qubit (`engines._fuse`); on a
+density matrix each noise channel is such a 1-qubit step. The oracle here
+is the schedule without fusion: one step per instruction before the depth
+cut-off, each gate's operator built with its noise from full embeddings
+(`test_noise.per_gate_formula`).
 """
 
 from dataclasses import replace
@@ -12,18 +14,27 @@ import numpy as np
 import pytest
 
 from test_engines import _shot_circuits, cx, h, ry, x
+from test_noise import per_gate_formula
 from qcsim import engines
-from qcsim.circuit import MEASURE, Circuit, instruction_layers, measure, random_circuit
+from qcsim.circuit import (
+    MEASURE,
+    Circuit,
+    Instruction,
+    instruction_layers,
+    measure,
+    random_circuit,
+)
 from qcsim.engines import RunConfig, run, run_shots
 from qcsim.gates import apply_on_qubits
-from qcsim.noise import NoiseSpec, channel_from_kind, step_operator
+from qcsim.noise import NoiseSpec, channel_from_kind
 
 KINDS = ("dephasing", "depolarizing", "amplitude_damping")
 
 
 def unfused_schedule(circuit, config):
-    """Oracle: one step per instruction up to the cut-off, as in `engines._schedule`
-    before fusion, with each operator built alone."""
+    """Oracle: one step per instruction up to the cut-off, each gate's
+    operator U, or on a density matrix its noise and U (x) conj(U) as one
+    full-embedding product."""
     layers = instruction_layers(circuit)
     stop = max(layers, default=0)
     if config.max_depth is not None:
@@ -31,7 +42,8 @@ def unfused_schedule(circuit, config):
     density = config.representation == "density"
     return [
         (ins, None if ins.kind == MEASURE
-         else step_operator(ins.gate, circuit.effective_noise(ins), density))
+         else per_gate_formula(ins.gate, circuit.effective_noise(ins)) if density
+         else ins.gate.matrix)
         for ins, layer in zip(circuit.instructions, layers) if layer <= stop
     ], stop
 
@@ -102,29 +114,29 @@ def test_fused_run_matches_unfused_replay(engine, monkeypatch):
             assert diff < 1e-12, (name, config, diff)
 
 
-def _segments(steps):
-    """The barriers of a schedule (measurements and conditioned steps) and the
-    runs of other steps between them."""
-    segments, barriers = [[]], []
-    for ins, op in steps:
-        if op is None or ins.condition is not None:
-            barriers.append((ins, op))
-            segments.append([])
-        else:
-            segments[-1].append((ins, op))
-    return segments, barriers
+def _barriers(steps):
+    """The measurements and conditioned gates of a schedule, in order."""
+    return [ins for ins, op in steps
+            if isinstance(ins, Instruction) and (op is None or ins.condition is not None)]
 
 
-def _apply(state, steps):
+def _walk(state, steps, conditions_hold):
+    """The states that `steps` reach at each measurement and at the end, with
+    every conditioned step applied or every one skipped; no collapse."""
+    states = []
     for ins, op in steps:
-        state = apply_on_qubits(state, op, ins.targets)
-    return state
+        if op is None:
+            states.append(state)
+        elif ins.condition is None or conditions_hold:
+            state = apply_on_qubits(state, op, ins.targets)
+    return states + [state]
 
 
 @pytest.mark.parametrize("representation", ["wave", "density"])
 def test_no_step_moves_past_a_barrier(representation):
-    """Between two barriers the fused steps act as the unfused ones do, and the
-    barriers are the same steps in the same order."""
+    """The barriers (measurements and conditioned gates) are the same in the
+    same order, and the fused steps reach the unfused replay's states at
+    every measurement, whether the conditioned steps run or not."""
     rng = np.random.default_rng(8)
     for name, circuit, repr_ in _cases():
         if repr_ != representation:
@@ -132,15 +144,12 @@ def test_no_step_moves_past_a_barrier(representation):
         config = RunConfig(representation=repr_)
         fused, _ = engines._schedule(circuit, config)
         oracle, _ = unfused_schedule(circuit, config)
-        fused_segments, fused_barriers = _segments(fused)
-        oracle_segments, oracle_barriers = _segments(oracle)
-        assert [ins for ins, _ in fused_barriers] == [ins for ins, _ in oracle_barriers]
-        for (_, a), (_, b) in zip(fused_barriers, oracle_barriers):
-            assert (a is None and b is None) or np.array_equal(a, b)
+        assert _barriers(fused) == _barriers(oracle), name
         shape = (2**circuit.num_qubits,) * (1 if repr_ == "wave" else 2)
-        for got, want in zip(fused_segments, oracle_segments):
-            state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            assert np.abs(_apply(state, got) - _apply(state, want)).max() < 1e-12, name
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for hold in (True, False):
+            got, want = _walk(state, fused, hold), _walk(state, oracle, hold)
+            assert np.abs(np.array(got) - np.array(want)).max() < 1e-12, (name, hold)
 
 
 def test_one_qubit_runs_flush_at_barriers():

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import gate_tensor_on
-from qcsim.gates import GATE_SIGNATURES, UNITARY_ATOL, Gate, apply_on_qubits, make_gate
-from qcsim.noise import step_operator
+from qcsim.gates import (
+    GATE_SIGNATURES,
+    UNITARY_ATOL,
+    Gate,
+    apply_on_qubits,
+    make_gate,
+    step_operator,
+)
 
 
 def test_hadamard_matrix():
@@ -73,6 +79,16 @@ def test_wrong_param_count_rejected():
         make_gate("RX", [])
     with pytest.raises(ValueError):
         make_gate("H", [0.1])
+
+
+def test_fixed_gates_are_built_once():
+    for name, (_, nparams) in GATE_SIGNATURES.items():
+        if nparams == 0:
+            assert make_gate(name) is make_gate(name), name
+    assert make_gate("RX", [0.3]) is not make_gate("RX", [0.3])
+    # a Gate built directly is still checked
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate("CX", 2, (), 2 * make_gate("CX").matrix)
 
 
 class TestGateTensorOn:
@@ -161,6 +177,6 @@ def test_kernel_matches_u_rho_u_dagger_on_density_matrices(num_qubits):
             continue
         for targets in _target_lists(gate.arity, num_qubits):
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            out = apply_on_qubits(rho, step_operator(gate, None, True), targets)
+            out = apply_on_qubits(rho, step_operator(gate, True), targets)
             u = gate_tensor_on(gate, targets, num_qubits)
             assert np.abs(out - u @ rho @ u.conj().T).max() < 1e-12, (gate.name, targets)

@@ -10,10 +10,10 @@ from oracles import (
     pure_to_density,
     zero_density,
 )
-from qcsim import engines, noise
-from qcsim.circuit import Circuit, gate_app
-from qcsim.engines import RunConfig
-from qcsim.gates import apply_on_qubits, make_gate
+from qcsim import engines
+from qcsim.circuit import Circuit, gate_app, measure
+from qcsim.engines import DenseGroups, RunConfig, run
+from qcsim.gates import apply_on_qubits, make_gate, step_operator
 from qcsim.noise import (
     COMPLETENESS_ATOL,
     NoiseChannel,
@@ -22,7 +22,6 @@ from qcsim.noise import (
     check_slots,
     dephasing,
     depolarizing,
-    step_operator,
 )
 from qcsim.state import DensityMatrix, PureState
 
@@ -37,8 +36,17 @@ def random_density(num_qubits, rng):
 
 
 def noisy_gate(rho, gate, targets, spec):
-    """One gate step under noise `spec` on rho, as the dense engines apply it."""
-    return apply_on_qubits(rho.matrix, step_operator(gate, spec, True), targets)
+    """`gate` on `targets` under noise `spec`, applied to rho on the path the
+    dense engines run: the schedule of a one-gate circuit, its steps applied
+    through `DenseGroups`. Returns the raw matrix."""
+    n = rho.num_qubits
+    circuit = Circuit(n, 0, [gate_app(gate, targets, noise=spec)])
+    steps, _ = engines._schedule(circuit, RunConfig(representation="density"))
+    backend = DenseGroups([list(range(n))], "density")
+    backend.owner[0].state = np.array(rho.matrix, dtype=complex)
+    for ins, op in steps:
+        backend.apply(op, ins.targets)
+    return backend.owner[0].state
 
 
 def all_channels(epsilon):
@@ -290,35 +298,37 @@ class TestApplyNoisyGate:
 
 
 def test_step_operator_invariants():
-    """Without noise the step is U (x) conj(U); with any noise it keeps the trace."""
+    """Without noise the step is U (x) conj(U); every step of a noisy gate
+    keeps the trace."""
     rng = np.random.default_rng(12)
     kinds = (dephasing, depolarizing, amplitude_damping)
     gates = [make_gate("H"), make_gate("U3", rng.uniform(0, 2 * np.pi, 3)),
              make_gate("CX"), make_gate("SWAP")]
+    density = RunConfig(representation="density")
     for gate in gates:
         u = gate.matrix
-        assert step_operator(gate, NoiseSpec({0: dephasing(0.3)}), False) is u
-        noiseless = step_operator(gate, None, True)
+        assert step_operator(gate, False) is u
+        noiseless = step_operator(gate, True)
         assert np.abs(noiseless - np.kron(u, u.conj())).max() < 1e-15
-        vec_identity = np.eye(2**gate.arity).reshape(-1)
         slot_sets = [(0,)] if gate.arity == 1 else [(0,), (1,), (0, 1)]
         for slots in slot_sets:
             for chosen in itertools.product(kinds, repeat=len(slots)):
                 spec = NoiseSpec({slot: make(rng.uniform(0.05, 0.95))
                                   for slot, make in zip(slots, chosen)})
-                op = step_operator(gate, spec, True)
-                assert op.shape == (4**gate.arity, 4**gate.arity)
-                assert np.abs(vec_identity @ op - vec_identity).max() < 1e-12, (
-                    gate.name, spec.to_dict())
+                circuit = Circuit(2, 0, [gate_app(gate, range(gate.arity), noise=spec)])
+                for _, op in engines._schedule(circuit, density)[0]:
+                    vec_identity = np.eye(round(len(op) ** 0.5)).reshape(-1)
+                    assert np.abs(vec_identity @ op - vec_identity).max() < 1e-12, (
+                        gate.name, spec.to_dict())
 
 
 def per_gate_formula(gate, spec):
     """Oracle: D_post (U (x) conj(U)) N_pre from full embeddings of each
     slot's superoperator on its (row, column) bits, identity where no
-    channel acts."""
+    channel acts; `spec` may be None."""
     k = gate.arity
     pre = post = np.eye(4**k, dtype=complex)
-    for slot, ch in spec.per_qubit_channels.items():
+    for slot, ch in (spec.per_qubit_channels.items() if spec else ()):
         # bit axis a of the 4^k index is qubit 2k-1-a of embed_operator
         full = embed_operator(ch.superoperator, [2 * k - 1 - slot, k - 1 - slot], 2 * k)
         if ch.kind == "depolarizing":
@@ -329,43 +339,87 @@ def per_gate_formula(gate, spec):
     return post @ np.kron(u, u.conj()) @ pre
 
 
-def test_noise_embeddings_built_once_per_channel_set(monkeypatch):
-    """A schedule builds each channel set's embeddings once, and every step
-    still equals the per-gate formula."""
-    built = []
-    embeddings = noise._embeddings
-    monkeypatch.setattr(noise, "_embeddings",
-                        lambda spec, arity: built.append(arity) or embeddings(spec, arity))
-    # one strength per kind, so that sets differ only in their slots too
+def test_noisy_gates_equal_the_per_gate_formula():
+    """Every gate, kind and slot set, applied through the engines' schedule,
+    equals the per-gate formula applied in one step."""
+    rng = np.random.default_rng(13)
     strength = {dephasing: 0.2, depolarizing: 0.3, amplitude_damping: 0.4}
     gates = [make_gate("RX", [0.7]), make_gate("CX"), make_gate("U3", [0.1, 0.2, 0.3])]
-    instructions, sets = [], set()
     for gate in gates:
+        targets = [(1,), (2,)] if gate.arity == 1 else [(0, 1), (2, 0)]
         slot_sets = [(0,)] if gate.arity == 1 else [(0,), (1,), (0, 1)]
-        for slots in slot_sets:
+        for at, slots in itertools.product(targets, slot_sets):
             for chosen in itertools.product(strength, repeat=len(slots)):
-                for _ in range(3):  # fresh but equal channels each time
-                    spec = NoiseSpec({s: make(strength[make]) for s, make in zip(slots, chosen)})
-                    instructions.append(gate_app(gate, tuple(range(gate.arity)), noise=spec))
-                sets.add((gate.arity, slots, chosen))
-    circuit = Circuit(2, 0, instructions)
-    engines._schedule(circuit, RunConfig(representation="density", engine="depth"))
-    assert len(built) == len(sets)
-    cache = {}
-    for ins in instructions:
-        op = step_operator(ins.gate, ins.noise, True, cache)
-        assert np.abs(op - per_gate_formula(ins.gate, ins.noise)).max() < 1e-15
-    assert len(cache) == len(sets)
+                spec = NoiseSpec({s: make(strength[make]) for s, make in zip(slots, chosen)})
+                rho = random_density(3, rng)
+                out = noisy_gate(rho, gate, at, spec)
+                expected = apply_on_qubits(rho.matrix, per_gate_formula(gate, spec), at)
+                assert np.abs(out - expected).max() < 1e-15, (gate.name, at, spec.to_dict())
 
 
 def test_direct_channel_gets_its_own_operator():
     """Same kind and strength as a factory channel, other Kraus operators."""
     factory = dephasing(0.3)
     direct = NoiseChannel("dephasing", 0.3, amplitude_damping(0.3).kraus_ops)
-    cache = {}
+    ones = DensityMatrix(2, np.diag([0.0, 0.0, 0.0, 1.0]))  # |11><11|
     for gate in (make_gate("H"), make_gate("CX")):
-        ops = [step_operator(gate, NoiseSpec({0: ch}), True, cache) for ch in (factory, direct)]
-        assert np.abs(ops[0] - ops[1]).max() > 0.1
-        for op, ch in zip(ops, (factory, direct)):
-            assert np.abs(op - per_gate_formula(gate, NoiseSpec({0: ch}))).max() < 1e-15
-    assert len(cache) == 4
+        at = tuple(range(gate.arity))
+        outs = [noisy_gate(ones, gate, at, NoiseSpec({0: ch})) for ch in (factory, direct)]
+        assert np.abs(outs[0] - outs[1]).max() > 0.1
+        for out, ch in zip(outs, (factory, direct)):
+            expected = apply_on_qubits(ones.matrix, per_gate_formula(gate, NoiseSpec({0: ch})), at)
+            assert np.abs(out - expected).max() < 1e-15
+
+
+def _on_qubits(rho, op, targets):
+    """rho under a full-register `op` built by the test oracles."""
+    u = embed_operator(op, targets, 3)
+    return u @ rho @ u.conj().T
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth"])
+def test_conditioned_noisy_gate_runs_whole_or_not_at_all(engine):
+    """A failing condition skips the gate and its channels; a holding one
+    applies the per-gate formula. Runs of 1-qubit steps are pending on both
+    targets when the conditioned gate comes, and a CX follows it."""
+    kinds = (dephasing, depolarizing, amplitude_damping)
+    config = RunConfig(engine=engine, representation="density")
+    ry = make_gate("RY", [0.7])
+    cx = make_gate("CX")
+    for gate in (make_gate("H"), make_gate("CX")):
+        targets = (1, 0)[:gate.arity]
+        slot_sets = [(0,)] if gate.arity == 1 else [(0,), (1,), (0, 1)]
+        for slots in slot_sets:
+            for chosen in itertools.product(kinds, repeat=len(slots)):
+                spec = NoiseSpec({s: make(0.3) for s, make in zip(slots, chosen)})
+                for holds in (0, 1):
+                    prefix = [gate_app(make_gate("X" if holds else "I"), (2,)), measure(2, 0),
+                              gate_app(make_gate("H"), (0,)), gate_app(cx, (0, 1)),
+                              gate_app(ry, (1,)), gate_app(ry, (0,))]
+                    noisy = gate_app(gate, targets, condition=(0, 1), noise=spec)
+                    before = run(Circuit(3, 1, prefix), config).final_state.matrix
+                    out = run(Circuit(3, 1, prefix + [noisy, gate_app(cx, (1, 0))]), config)
+                    mid = (apply_on_qubits(before, per_gate_formula(gate, spec), targets)
+                           if holds else before)
+                    expected = _on_qubits(mid, cx.matrix, (1, 0))
+                    assert np.abs(out.final_state.matrix - expected).max() < 1e-12, (
+                        gate.name, spec.to_dict(), holds)
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth"])
+def test_depth_cut_keeps_or_drops_a_gate_with_its_channels(engine):
+    """H(0) is layer 1, the noisy CX layer 2 and H(1) layer 3: a cut at 2
+    keeps the CX with its depolarizing after-steps, a cut at 1 drops both."""
+    h, cx = make_gate("H"), make_gate("CX")
+    for spec in (NoiseSpec.uniform("depolarizing", 0.3, 2),
+                 NoiseSpec({0: amplitude_damping(0.4), 1: depolarizing(0.2)})):
+        circuit = Circuit(3, 0, [gate_app(h, (0,)), gate_app(cx, (0, 1), noise=spec),
+                                 gate_app(h, (1,))])
+        after_h = _on_qubits(zero_density(3).matrix, h.matrix, (0,))
+        for cut, expected in (
+                (2, apply_on_qubits(after_h, per_gate_formula(cx, spec), (0, 1))),
+                (1, after_h)):
+            config = RunConfig(engine=engine, representation="density", max_depth=cut)
+            result = run(circuit, config)
+            assert result.layers_executed == cut
+            assert np.abs(result.final_state.matrix - expected).max() < 1e-12, (cut, spec)

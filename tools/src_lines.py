@@ -2,7 +2,8 @@
 
     python tools/src_lines.py
 
-A code line holds at least one token that is not a comment, and is not
+It prints the two totals, then each module's all-line and code-line
+counts, one module a line. A code line holds at least one token that is not a comment, and is not
 part of a docstring (the string literal that opens a module, class or
 function body, found with the ast module). Blank lines, comment lines and
 docstring lines are not code lines.
@@ -40,9 +41,12 @@ def count(text: str) -> tuple:
 
 
 def main() -> None:
-    counts = [count(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    paths = sorted(SRC.rglob("*.py"))
+    counts = [count(path.read_text(encoding="utf-8")) for path in paths]
     print(f"all lines: {sum(c[0] for c in counts)}")
     print(f"code lines: {sum(c[1] for c in counts)}")
+    for path, (lines, code) in zip(paths, counts):
+        print(f"{path.relative_to(SRC)}: {lines} all, {code} code")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ the `simple` and `depth` engines, the gate steps before fusion (one per
 instruction up to the depth cut-off), the steps that the engine's schedule
 runs, and the best wall time of `run` over the repetitions. Wave circuits
 have 10, 16 and 20 qubits; density circuits have 7 and 9 qubits under
-global dephasing 0.02. Then it prints the depth sweep of acceptance
+global dephasing 0.02, and 7 qubits under global depolarizing 0.02, whose
+channel steps after each gate are flushed as steps of their own where no
+2-qubit step takes them. Then it prints the depth sweep of acceptance
 criterion 6 (10 qubits, depths 5 to 30, seed 12, median of 3) for
 `simple` and `mps`, with each curve's max/min ratio.
 """
@@ -28,9 +30,10 @@ from qcsim.circuit import instruction_layers, random_circuit  # noqa: E402
 from qcsim.engines import RunConfig, run  # noqa: E402
 from qcsim.noise import NoiseSpec  # noqa: E402
 
-# (qubits, depth, representation); every circuit uses seed 1
-CIRCUITS = [(10, 30, "wave"), (16, 20, "wave"), (20, 10, "wave"),
-            (7, 15, "density"), (9, 15, "density")]
+# (qubits, depth, representation, global noise kind); every circuit uses seed 1
+CIRCUITS = [(10, 30, "wave", None), (16, 20, "wave", None), (20, 10, "wave", None),
+            (7, 15, "density", "dephasing"), (9, 15, "density", "dephasing"),
+            (7, 15, "density", "depolarizing")]
 CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
 
 
@@ -39,10 +42,12 @@ def main(argv=None) -> None:
     parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
     print("circuit,engine,steps_unfused,steps,best_s")
-    for qubits, depth, representation in CIRCUITS:
+    for qubits, depth, representation, noise in CIRCUITS:
         circuit = random_circuit(qubits, depth, 1)
-        if representation == "density":
-            circuit = circuit.with_global_noise(NoiseSpec.uniform("dephasing", 0.02, 2))
+        name = f"{representation}-{qubits}q-d{depth}"
+        if noise is not None:
+            circuit = circuit.with_global_noise(NoiseSpec.uniform(noise, 0.02, 2))
+            name += f"-{noise}"
         unfused = len(instruction_layers(circuit))
         for engine in ("simple", "depth"):
             config = RunConfig(representation=representation, engine=engine)
@@ -52,8 +57,7 @@ def main(argv=None) -> None:
                 start = time.perf_counter()
                 run(circuit, config)
                 times.append(time.perf_counter() - start)
-            print(f"{representation}-{qubits}q-d{depth},{engine},{unfused},{steps},"
-                  f"{min(times):.4f}")
+            print(f"{name},{engine},{unfused},{steps},{min(times):.4f}")
     c6 = CRITERION_6
     print(f"\ncriterion 6: {c6['qubits']} qubits, depths {c6['depths']}, median of 3 (ms)")
     for engine in ("simple", "mps"):

@@ -32,12 +32,13 @@ The engine selects the backend the loop drives:
 For the two dense engines, `_schedule` fuses steps (`_fuse`): each run of
 unconditioned 1-qubit steps on a qubit is multiplied into the operator of
 the next unconditioned 2-qubit step on that qubit, as qsim and Qiskit Aer
-do. On a density matrix the operators are Liouville superoperators, and
-each noise channel is a 1-qubit step, so fusion folds the channels in as
-well. No step moves past a measurement or a conditioned step on its
-qubit, and steps past the depth cut-off are dropped before fusing. The
-MPS engine keeps one step per instruction: its 1-qubit steps are cheap
-einsums on one site, and folding them into two-qubit steps would not pay.
+do, or, where none follows, of the last one before it. On a density
+matrix the operators are Liouville superoperators, and each noise channel
+is a 1-qubit step, so fusion folds the channels in as well. No step
+moves past a measurement or a conditioned step on its qubit, and steps
+past the depth cut-off are dropped before fusing. The MPS engine keeps
+one step per instruction: its 1-qubit steps are cheap einsums on one
+site, and folding them into two-qubit steps would not pay.
 
 A backend provides ``apply(op, targets)``, ``prob_zero(qubit)``,
 ``collapse(qubit, outcome)``, ``copy()``, which returns an independent
@@ -189,23 +190,35 @@ def _schedule(circuit: Circuit, config: RunConfig):
 
 
 def _fuse(steps, density: bool) -> list:
-    """Fold each run of unconditioned 1-qubit steps into the next
-    unconditioned 2-qubit step on its qubit.
+    """Fold each run of unconditioned 1-qubit steps into an unconditioned
+    2-qubit step on its qubit.
 
     A run's operators multiply into one, which the 2-qubit step's operator
     takes on the run's slot; on a density matrix these are superoperators,
-    so the run's noise folds in too. A run that no such step takes is
-    flushed as one step of its own at the next measurement (every pending
-    run), before a conditioned step on its qubit, or at the end.
+    so the run's noise folds in too. A run goes into the next 2-qubit step
+    on its qubit, on the right. A run that no such step takes, at the next
+    measurement (every pending run), before a conditioned step on its
+    qubit, or at the end, goes into the last 2-qubit step on its qubit on
+    the left, unless a measurement or a conditioned step on the qubit came
+    after that step; then it is flushed as one step of its own.
     """
     fused, pending = [], {}  # pending[q]: (first instruction, operator) of q's run
+    last = {}  # last[q]: (index in fused, slot) of the 2-qubit step a run on q may join
 
     def flush(qubits):
-        fused.extend(pending.pop(q) for q in qubits if q in pending)
+        for q in [q for q in qubits if q in pending]:
+            ins, run_op = pending.pop(q)
+            if q not in last:
+                fused.append((ins, run_op))
+                continue
+            i, slot = last[q]  # E(run) @ op
+            ins, op = fused[i]
+            fused[i] = (ins, apply_local(op, run_op, [slot, 2 + slot][:1 + density]))
 
     for ins, op in steps:
         if op is None or ins.condition is not None:
             flush(list(pending) if op is None else ins.targets)
+            last = {} if op is None else {q: v for q, v in last.items() if q not in ins.targets}
             fused.append((ins, op))
         elif len(ins.targets) == 1:
             q = ins.targets[0]
@@ -216,6 +229,7 @@ def _fuse(steps, density: bool) -> list:
                     # op @ R, where R is the run on its slot, is (R^T op^T)^T
                     run_op = pending.pop(q)[1]
                     op = apply_local(op.T, run_op.T, [slot, 2 + slot][:1 + density]).T
+                last[q] = (len(fused), slot)
             fused.append((ins, op))
     flush(list(pending))
     return fused

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gates import make_gate
 from .state import PureState, to_qubit_order
 
-_SWAP_4 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-    dtype=np.complex128,
-)
+_SWAP_4 = make_gate("SWAP").matrix
 
 TRUNCATION_THRESHOLD = 1e-12
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate
+from .gates import Gate, make_gate
 
 COMPLETENESS_ATOL = 1e-12
 
@@ -34,9 +34,7 @@ DEPHASING = "dephasing"
 DEPOLARIZING = "depolarizing"
 AMPLITUDE_DAMPING = "amplitude_damping"
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_PAULI_X, _PAULI_Y, _PAULI_Z = (make_gate(name).matrix for name in ("X", "Y", "Z"))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,15 @@ space in declaration order), applications of the standard gate names
 (parsed and ignored). Gate parameters accept real literals, `pi`, the four
 arithmetic operators, unary minus, and parentheses.
 
-Anything else raises ParseError with a line:column position.
+Anything else raises ParseError with a line:column position. The lexer
+makes one regex pass into (kind, text, offset) tuples; a position's line
+and column are computed from its offset only when an error is raised.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .circuit import Circuit, Instruction, gate_app, measure
 from .gates import make_gate
@@ -34,52 +35,20 @@ class ParseError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str
-    value: str
-    line: int
-    column: int
-
-
+# Tokens are (kind, text, offset) tuples, offset into the source; SKIP
+# (whitespace, comments) is dropped and BAD is an unexpected character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>[ \t\r]+)
-  | (?P<NL>\n)
-  | (?P<LINECOMMENT>//[^\n]*)
+    (?P<SKIP>[ \t\r\n]+|//[^\n]*)
   | (?P<REAL>(\d+\.\d*|\.\d+)([eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<INT>\d+)
   | (?P<ID>[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<STRING>"[^"\n]*")
-  | (?P<ARROW>->)
-  | (?P<EQ>==)
-  | (?P<SYM>[;,()\[\]{}+\-*/])
+  | (?P<SYM>->|==|[;,()\[\]{}+\-*/])
+  | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-
-
-def _tokenize(source: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {source[pos]!r}", LEX)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "NL":
-            line += 1
-            col = 1
-        elif kind in ("WS", "LINECOMMENT"):
-            col += len(text)
-        else:
-            tokens.append(Token("SYM" if kind in ("ARROW", "EQ") else kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
 
 
 # QASM name -> (package gate name, parameter count); u1/u2 are lowered below.
@@ -107,117 +76,123 @@ _QASM_GATES = {
 
 class _Parser:
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
+        self.source = source
+        self.tokens = [(m.lastgroup, m.group(), m.start())
+                       for m in _TOKEN_RE.finditer(source) if m.lastgroup != "SKIP"]
+        self.tokens.append(("EOF", "", len(source)))
         self.pos = 0
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
         self.num_clbits = 0
         self.instructions: list[Instruction] = []
+        # an unexpected character is reported before any syntax error
+        for tok in self.tokens:
+            if tok[0] == "BAD":
+                self.error(f"unexpected character {tok[1]!r}", LEX, tok)
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.type != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, value_or_type: str) -> Token:
-        tok = self.peek()
-        if tok.value == value_or_type or tok.type == value_or_type:
+    def expect(self, text_or_kind: str) -> tuple:
+        kind, text, _ = self.peek()
+        if text == text_or_kind or kind == text_or_kind:
             return self.next()
-        raise ParseError(
-            tok.line, tok.column,
-            f"expected {value_or_type!r}, found {tok.value or 'end of input'!r}",
-        )
+        self.error(f"expected {text_or_kind!r}, found {text or 'end of input'!r}")
 
-    def error(self, message: str, kind: str = SYNTAX, token: Token | None = None):
-        tok = token or self.peek()
-        raise ParseError(tok.line, tok.column, message, kind)
+    def error(self, message: str, kind: str = SYNTAX, token: tuple | None = None):
+        """Raise a ParseError at the token (default: the next one); its line
+        and column are counted from the source only here."""
+        offset = (token or self.peek())[2]
+        line = self.source.count("\n", 0, offset) + 1
+        raise ParseError(line, offset - self.source.rfind("\n", 0, offset), message, kind)
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Circuit:
         self.expect("OPENQASM")
-        version = self.peek()
-        if version.value != "2.0":
-            self.error(f"unsupported OpenQASM version {version.value!r}", SEMANTIC)
+        version = self.peek()[1]
+        if version != "2.0":
+            self.error(f"unsupported OpenQASM version {version!r}", SEMANTIC)
         self.next()
         self.expect(";")
-        while self.peek().type != "EOF":
+        while self.peek()[0] != "EOF":
             self.statement()
         if self.num_qubits == 0:
-            tok = self.tokens[-1]
-            raise ParseError(tok.line, tok.column, "program declares no qubits", SEMANTIC)
+            self.error("program declares no qubits", SEMANTIC)
         return Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
 
     def statement(self):
-        tok = self.peek()
-        if tok.value == "include":
+        kind, text, _ = self.peek()
+        if text == "include":
             self.next()
             name = self.expect("STRING")
-            if name.value != '"qelib1.inc"':
-                self.error(f"unsupported include {name.value}", SEMANTIC, name)
+            if name[1] != '"qelib1.inc"':
+                self.error(f"unsupported include {name[1]}", SEMANTIC, name)
             self.expect(";")
-        elif tok.value == "qreg":
+        elif text == "qreg":
             self.declare_register(self.qregs, quantum=True)
-        elif tok.value == "creg":
+        elif text == "creg":
             self.declare_register(self.cregs, quantum=False)
-        elif tok.value == "barrier":
+        elif text == "barrier":
             self.next()
-            while self.peek().value != ";":
-                if self.peek().type == "EOF":
+            while self.peek()[1] != ";":
+                if self.peek()[0] == "EOF":
                     self.error("unterminated barrier statement")
                 self.next()
             self.expect(";")
-        elif tok.value == "measure":
+        elif text == "measure":
             self.measure_statement()
-        elif tok.value == "if":
+        elif text == "if":
             self.if_statement()
-        elif tok.value in ("gate", "opaque"):
-            self.error(f"{tok.value} definitions are not supported", SEMANTIC)
-        elif tok.type == "ID":
+        elif text in ("gate", "opaque"):
+            self.error(f"{text} definitions are not supported", SEMANTIC)
+        elif kind == "ID":
             self.gate_statement(condition=None)
         else:
-            self.error(f"unexpected {tok.value!r}")
+            self.error(f"unexpected {text!r}")
 
     def declare_register(self, table, quantum: bool):
         self.next()
         name = self.expect("ID")
-        if name.value in self.qregs or name.value in self.cregs:
-            self.error(f"register {name.value!r} already declared", SEMANTIC, name)
+        if name[1] in self.qregs or name[1] in self.cregs:
+            self.error(f"register {name[1]!r} already declared", SEMANTIC, name)
         self.expect("[")
         size_tok = self.expect("INT")
-        size = int(size_tok.value)
+        size = int(size_tok[1])
         if size < 1:
             self.error("register size must be >= 1", SEMANTIC, size_tok)
         self.expect("]")
         self.expect(";")
         if quantum:
-            table[name.value] = (self.num_qubits, size)
+            table[name[1]] = (self.num_qubits, size)
             self.num_qubits += size
         else:
-            table[name.value] = (self.num_clbits, size)
+            table[name[1]] = (self.num_clbits, size)
             self.num_clbits += size
 
     def argument(self, table, what: str):
         """Parse `name` or `name[i]`; return (offset, size, index or None)."""
         name = self.expect("ID")
-        if name.value not in table:
-            self.error(f"undeclared {what} register {name.value!r}", SEMANTIC, name)
-        offset, size = table[name.value]
-        if self.peek().value == "[":
+        if name[1] not in table:
+            self.error(f"undeclared {what} register {name[1]!r}", SEMANTIC, name)
+        offset, size = table[name[1]]
+        if self.peek()[1] == "[":
             self.next()
             idx_tok = self.expect("INT")
-            idx = int(idx_tok.value)
+            idx = int(idx_tok[1])
             if idx >= size:
                 self.error(
                     f"index {idx} out of range for {what} register "
-                    f"{name.value!r} of size {size}", SEMANTIC, idx_tok,
+                    f"{name[1]!r} of size {size}", SEMANTIC, idx_tok,
                 )
             self.expect("]")
             return offset, size, idx
@@ -245,12 +220,12 @@ class _Parser:
         self.next()
         self.expect("(")
         name = self.expect("ID")
-        if name.value not in self.cregs:
-            self.error(f"undeclared classical register {name.value!r}", SEMANTIC, name)
-        offset, size = self.cregs[name.value]
+        if name[1] not in self.cregs:
+            self.error(f"undeclared classical register {name[1]!r}", SEMANTIC, name)
+        offset, size = self.cregs[name[1]]
         self.expect("==")
         value_tok = self.expect("INT")
-        value = int(value_tok.value)
+        value = int(value_tok[1])
         self.expect(")")
         if size != 1 or value not in (0, 1):
             self.error(
@@ -258,46 +233,49 @@ class _Parser:
                 SEMANTIC, value_tok,
             )
         tok = self.peek()
-        if tok.value in ("measure", "if", "barrier") or tok.type != "ID":
+        if tok[1] in ("measure", "if", "barrier") or tok[0] != "ID":
             self.error("only gate applications can be conditioned", SEMANTIC, tok)
         self.gate_statement(condition=(offset, value))
 
     def gate_statement(self, condition):
         name = self.next()
-        if name.value not in _QASM_GATES:
-            self.error(f"unsupported gate {name.value!r}", SEMANTIC, name)
-        gate_name, nparams = _QASM_GATES[name.value]
+        if name[1] not in _QASM_GATES:
+            self.error(f"unsupported gate {name[1]!r}", SEMANTIC, name)
+        gate_name, nparams = _QASM_GATES[name[1]]
         params = []
-        if self.peek().value == "(":
+        if self.peek()[1] == "(":
             self.next()
             while True:
                 start = self.peek()
                 params.append(self.expression())
                 if not math.isfinite(params[-1]):
                     self.error("parameter is not a finite number", SEMANTIC, start)
-                if self.peek().value == ",":
+                if self.peek()[1] == ",":
                     self.next()
                     continue
                 break
             self.expect(")")
         if len(params) != nparams:
             self.error(
-                f"gate {name.value!r} takes {nparams} parameter(s), got {len(params)}",
+                f"gate {name[1]!r} takes {nparams} parameter(s), got {len(params)}",
                 SEMANTIC, name,
             )
-        if name.value == "u1":
+        if name[1] == "u1":
             params = [0.0, 0.0, params[0]]
-        elif name.value == "u2":
+        elif name[1] == "u2":
             params = [math.pi / 2, params[0], params[1]]
-        gate = make_gate(gate_name, params)
+        try:
+            gate = make_gate(gate_name, params)
+        except ValueError as exc:  # e.g. u3 angles too large for a unitary matrix
+            self.error(str(exc), SEMANTIC, name)
         args = [self.argument(self.qregs, "quantum")]
-        while self.peek().value == ",":
+        while self.peek()[1] == ",":
             self.next()
             args.append(self.argument(self.qregs, "quantum"))
         end = self.expect(";")
         if len(args) != gate.arity:
             self.error(
-                f"gate {name.value!r} expects {gate.arity} operand(s), got {len(args)}",
+                f"gate {name[1]!r} expects {gate.arity} operand(s), got {len(args)}",
                 SEMANTIC, end,
             )
         broadcast_sizes = {size for off, size, idx in args if idx is None}
@@ -316,16 +294,16 @@ class _Parser:
 
     def expression(self) -> float:
         value = self.term()
-        while self.peek().value in ("+", "-"):
-            op = self.next().value
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self) -> float:
         value = self.unary()
-        while self.peek().value in ("*", "/"):
-            op = self.next().value
+        while self.peek()[1] in ("*", "/"):
+            op = self.next()[1]
             rhs = self.unary()
             if op == "/":
                 if rhs == 0:
@@ -336,22 +314,22 @@ class _Parser:
         return value
 
     def unary(self) -> float:
-        if self.peek().value == "-":
+        if self.peek()[1] == "-":
             self.next()
             return -self.unary()
         tok = self.peek()
-        if tok.value == "(":
+        if tok[1] == "(":
             self.next()
             value = self.expression()
             self.expect(")")
             return value
-        if tok.type in ("REAL", "INT"):
+        if tok[0] in ("REAL", "INT"):
             self.next()
-            return float(tok.value)
-        if tok.value == "pi":
+            return float(tok[1])
+        if tok[1] == "pi":
             self.next()
             return math.pi
-        self.error(f"expected a parameter expression, found {tok.value!r}")
+        self.error(f"expected a parameter expression, found {tok[1]!r}")
 
 
 def parse_qasm(source: str) -> Circuit:

@@ -152,6 +152,11 @@ class TestRun:
     @pytest.mark.parametrize("name, data", [
         ("latin1.qasm", b"OPENQASM 2.0;\nqreg q[1];\nh q[0]; // \xff\n"),
         ("inf.qasm", b"OPENQASM 2.0;\nqreg q[1];\nrx(1e999) q[0];\n"),
+        # angles whose phases a u3 matrix cannot hold: a parse error
+        ("u3.qasm", b"OPENQASM 2.0;\nqreg q[1];\nu3(1,1e16,1) q[0];\n"),
+        ("u2.qasm", b"OPENQASM 2.0;\nqreg q[1];\nu2(1e16,1) q[0];\n"),
+        ("if_u3.qasm", b"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == 1) u3(1,1e16,1) q[0];\n"),
+        ("if_u2.qasm", b"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == 1) u2(1e16,1) q[0];\n"),
         ("instructions.json", b'{"num_qubits": 1, "instructions": 5}'),
         ("toplevel.json", b"[1, 2]"),
         ("entry.json", b'{"num_qubits": 1, "instructions": [3]}'),

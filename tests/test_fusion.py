@@ -1,10 +1,11 @@
 """Fusion of 1-qubit steps into 2-qubit steps, against an unfused replay.
 
 The dense engines fold each run of unconditioned 1-qubit steps into the
-next unconditioned 2-qubit step on its qubit (`engines._fuse`); on a
-density matrix each noise channel is such a 1-qubit step. The oracle here
-is the schedule without fusion: one step per instruction before the depth
-cut-off, each gate's operator built with its noise from full embeddings
+next unconditioned 2-qubit step on its qubit, or, where none takes it,
+into the last one before it (`engines._fuse`); on a density matrix each
+noise channel is such a 1-qubit step. The oracle here is the schedule
+without fusion: one step per instruction before the depth cut-off, each
+gate's operator built with its noise from full embeddings
 (`test_noise.per_gate_formula`).
 """
 
@@ -20,12 +21,13 @@ from qcsim.circuit import (
     MEASURE,
     Circuit,
     Instruction,
+    gate_app,
     instruction_layers,
     measure,
     random_circuit,
 )
 from qcsim.engines import RunConfig, run, run_shots
-from qcsim.gates import apply_on_qubits
+from qcsim.gates import Gate, apply_on_qubits, make_gate, step_operator
 from qcsim.noise import NoiseSpec, channel_from_kind
 
 KINDS = ("dephasing", "depolarizing", "amplitude_damping")
@@ -82,6 +84,35 @@ def _cases():
     for name, c in (("random", random_circuit(5, 12, 9)), ("end", shots["end"]),
                     ("conditional", shots["conditional"])):
         cases.append((f"overrides-{name}", _with_overrides(c, rng), "density"))
+    depolarizing = NoiseSpec.uniform("depolarizing", 0.15, 2)
+    for name, c in _tail_circuits().items():
+        cases += [(f"tail-{name}", c, "wave"), (f"tail-{name}", c, "density"),
+                  (f"tail-{name}-depolarizing", c.with_global_noise(depolarizing), "density")]
+    return cases
+
+
+def _one_qubit_layer(num_qubits, seed):
+    return [ry(q, 0.3 + 0.1 * q + seed) for q in range(num_qubits)]
+
+
+def _tail_circuits():
+    """Circuits that end in a 1-qubit layer, whose runs no later 2-qubit step
+    takes: after plain 2-qubit steps, after a measurement, after a
+    conditioned step on the run's qubit or on another, and after a
+    conditioned 2-qubit step."""
+    ccx01 = gate_app(make_gate("CX"), (0, 1), condition=(0, 1))
+    cases = {f"random{seed}": Circuit(5, 0, [*random_circuit(5, 10, seed).instructions,
+                                             *_one_qubit_layer(5, seed)])
+             for seed in range(2)}
+    mid = [*random_circuit(5, 9, 2).instructions, *_one_qubit_layer(5, 1), measure(2, 0),
+           x(1, condition=(0, 1)), cx(3, 4), *_one_qubit_layer(5, 2)]
+    cases["measured"] = Circuit(5, 1, mid)
+    for name, barrier in (("measure", measure(1, 0)), ("cond0", x(0, condition=(0, 1))),
+                          ("cond1", x(1, condition=(0, 1)))):
+        cases[name] = Circuit(2, 1, [h(0), measure(0, 0), cx(0, 1), barrier,
+                                     *_one_qubit_layer(2, 0)])
+    cases["conditioned_cx"] = Circuit(2, 1, [h(0), measure(0, 0), ccx01,
+                                             *_one_qubit_layer(2, 0)])
     return cases
 
 
@@ -168,6 +199,51 @@ def test_one_qubit_runs_flush_at_barriers():
     steps, _ = engines._schedule(Circuit(2, 0, [ry0, h(0), h1]), RunConfig())
     assert [ins for ins, _ in steps] == [ry0, h1]
     assert np.allclose(steps[0][1], h(0).gate.matrix @ ry0.gate.matrix)
+
+
+def test_trailing_runs_fold_into_the_last_two_qubit_step():
+    """With no measurement or condition, and a 2-qubit gate on every qubit,
+    only the 2-qubit steps remain."""
+    depolarizing = NoiseSpec.uniform("depolarizing", 0.02, 2)
+    for name in ("random0", "random1"):
+        circuit = _tail_circuits()[name]
+        twos = sum(len(ins.targets) == 2 for ins in circuit.instructions)
+        for config in (RunConfig(), RunConfig(engine="depth")):
+            assert len(engines._schedule(circuit, config)[0]) == twos
+        noisy = circuit.with_global_noise(depolarizing)
+        assert len(engines._schedule(noisy, RunConfig(representation="density"))[0]) == twos
+    # the 5-qubit depolarizing noise-sweep circuit: 10 steps, not 15
+    sweep = random_circuit(5, 10, 0).with_global_noise(depolarizing)
+    assert len(engines._schedule(sweep, RunConfig(representation="density"))[0]) == 10
+    # E(run) @ op, on a state vector and on a density matrix
+    cx01, ry0, h1 = cx(0, 1), ry(0, 0.4), h(1)
+    after = Gate("after", 2, (), np.kron(ry0.gate.matrix, h1.gate.matrix) @ cx01.gate.matrix)
+    for density in (False, True):
+        repr_ = "density" if density else "wave"
+        steps, _ = engines._schedule(Circuit(2, 0, [cx01, ry0, h1]),
+                                     RunConfig(representation=repr_))
+        assert [ins for ins, _ in steps] == [cx01]
+        assert np.allclose(steps[0][1], step_operator(after, density), rtol=0, atol=1e-15)
+
+
+def test_runs_after_a_barrier_are_not_folded_on_the_left():
+    cx01, ry0, m1 = cx(0, 1), ry(0, 0.4), measure(1, 0)
+    cond0, cond1 = x(0, condition=(0, 1)), x(1, condition=(0, 1))
+    ccx01 = gate_app(make_gate("CX"), (0, 1), condition=(0, 1))
+    # a measurement on any qubit, a conditioned step on the run's qubit, or a
+    # conditioned last 2-qubit step: the run is a step of its own at the end
+    for instructions in ([cx01, m1, ry0], [cx01, cond0, ry0], [ccx01, ry0]):
+        steps, _ = engines._schedule(Circuit(2, 1, instructions), RunConfig())
+        assert [ins for ins, _ in steps] == instructions
+        assert np.array_equal(steps[0][1], cx01.gate.matrix)
+    # a conditioned step on the other qubit does not stop the fold, and a run
+    # flushed at a measurement folds on the left too
+    folded = np.kron(ry0.gate.matrix, np.eye(2)) @ cx01.gate.matrix
+    for instructions, kept in (([cx01, cond1, ry0], [cx01, cond1]),
+                               ([cx01, ry0, m1], [cx01, m1])):
+        steps, _ = engines._schedule(Circuit(2, 1, instructions), RunConfig())
+        assert [ins for ins, _ in steps] == kept
+        assert np.allclose(steps[0][1], folded, rtol=0, atol=1e-15)
 
 
 def test_fusion_cuts_the_steps_of_a_random_circuit():

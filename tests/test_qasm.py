@@ -130,6 +130,15 @@ class TestParseErrors:
         err = self.check(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n", "Semantic")
         assert (err.line, err.column) == (3, 4)
 
+    @pytest.mark.parametrize("statement", [
+        "u3(1,1e16,1) q[0];", "u2(1e16,1) q[0];",
+        "if (c == 1) u3(1,1e16,1) q[0];", "if (c == 1) u2(1e16,1) q[0];",
+    ])
+    def test_angles_too_large_for_a_unitary(self, statement):
+        err = self.check(f"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{statement}\n", "Semantic")
+        assert (err.line, err.column) == (4, statement.index("u") + 1)
+        assert err.message == "gate U3: matrix is not unitary"
+
     @pytest.mark.parametrize(
         "garbage",
         ["", "OPENQASM", "OPENQASM 2.0;", "OPENQASM 2.0; qreg q[1]; x", "((((", "\x00"],
@@ -137,6 +146,61 @@ class TestParseErrors:
     def test_total_on_malformed_input(self, garbage):
         with pytest.raises(ParseError):
             parse_qasm(garbage)
+
+    # (source, (line, column, kind, message)); each position is 1-based and
+    # counts a tab, a carriage return or a comment's characters as columns.
+    @pytest.mark.parametrize("source, expected", [
+        ('OPENQASM 2.0;\nqreg q[2];\nx q[0];\t$ q[1];\n',
+         (3, 9, 'Lex', "unexpected character '$'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nx q[0]; // note\n@\n',
+         (4, 1, 'Lex', "unexpected character '@'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nx q[0]; // note $ inside is fine\nh q[1] #;\n',
+         (4, 8, 'Lex', "unexpected character '#'")),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc;\nqreg q[1];\n',
+         (2, 9, 'Lex', 'unexpected character \'"\'')),
+        ('OPENQASM 2.0;\r\nqreg q[2];\r\nx q[0];\r\ny q[5];\r\n',
+         (4, 5, 'Semantic', "index 5 out of range for quantum register 'q' of size 2")),
+        ('OPENQASM 2.0;\r\nqreg q[2];\r\n\t& q[0];\r\n',
+         (3, 2, 'Lex', "unexpected character '&'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nx -> q[0];\n',
+         (3, 3, 'Syntax', "expected 'ID', found '->'")),
+        ('OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] == c[0];\n',
+         (4, 14, 'Syntax', "expected '->', found '=='")),
+        ('OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nif (c -> 1) x q[0];\n',
+         (4, 7, 'Syntax', "expected '==', found '->'")),
+        ('OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n',
+         (4, 1, 'Syntax', "expected 'ID', found 'end of input'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nrx(pi/2',
+         (3, 8, 'Syntax', "expected ')', found 'end of input'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nx q[0]',
+         (3, 7, 'Syntax', "expected ';', found 'end of input'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nx q[0] q[1];\n!\n',
+         (4, 1, 'Lex', "unexpected character '!'")),
+        ('',
+         (1, 1, 'Syntax', "expected 'OPENQASM', found 'end of input'")),
+        ('OPENQASM 2.0;\n',
+         (2, 1, 'Semantic', 'program declares no qubits')),
+        ('OPENQASM 2.0;\ncreg c[1];\n// only a comment',
+         (3, 18, 'Semantic', 'program declares no qubits')),
+        ('  \n\n   ',
+         (3, 4, 'Syntax', "expected 'OPENQASM', found 'end of input'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nrx(1 +) q[0];\n',
+         (3, 7, 'Syntax', "expected a parameter expression, found ')'")),
+        ('OPENQASM 2.0;\nqreg q[2];\nx q[0];\n  barrier q\n',
+         (5, 1, 'Syntax', 'unterminated barrier statement')),
+        ('OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -> ;\n',
+         (3, 17, 'Syntax', "expected 'ID', found ';'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nu3(1,2 q[0];\n',
+         (3, 8, 'Syntax', "expected ')', found 'q'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nrx(1.5e) q[0];\n',
+         (3, 7, 'Syntax', "expected ')', found 'e'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nx q[0]; /* block */\n',
+         (3, 9, 'Syntax', "unexpected '/'")),
+    ])
+    def test_error_positions_are_pinned(self, source, expected):
+        err = self.check(source)
+        assert (err.line, err.column, err.kind, err.message) == expected
+        assert str(err) == f"{err.line}:{err.column}: {err.kind} error: {err.message}"
 
 
 class TestEmit:

@@ -9,10 +9,12 @@ instruction up to the depth cut-off), the steps that the engine's schedule
 runs, and the best wall time of `run` over the repetitions. Wave circuits
 have 10, 16 and 20 qubits; density circuits have 7 and 9 qubits under
 global dephasing 0.02, and 7 qubits under global depolarizing 0.02, whose
-channel steps after each gate are flushed as steps of their own where no
-2-qubit step takes them. Then it prints the depth sweep of acceptance
-criterion 6 (10 qubits, depths 5 to 30, seed 12, median of 3) for
-`simple` and `mps`, with each curve's max/min ratio.
+channel steps after each gate fold into the 2-qubit steps around them, so
+that only 2-qubit steps remain. Then it prints the depth sweep of
+acceptance criterion 6 (10 qubits, depths 5 to 30, seed 12, median of 3)
+for `simple` and `mps`, with each curve's max/min ratio, and last the
+line count and best `parse_qasm` time of the QASM text of 20-qubit random
+circuits of depth 50 and 400 (seed 1).
 """
 
 from __future__ import annotations
@@ -29,12 +31,23 @@ from qcsim.bench import bench_depth_sweep  # noqa: E402
 from qcsim.circuit import instruction_layers, random_circuit  # noqa: E402
 from qcsim.engines import RunConfig, run  # noqa: E402
 from qcsim.noise import NoiseSpec  # noqa: E402
+from qcsim.qasm import emit_qasm, parse_qasm  # noqa: E402
 
 # (qubits, depth, representation, global noise kind); every circuit uses seed 1
 CIRCUITS = [(10, 30, "wave", None), (16, 20, "wave", None), (20, 10, "wave", None),
             (7, 15, "density", "dephasing"), (9, 15, "density", "dephasing"),
             (7, 15, "density", "depolarizing")]
 CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
+PARSE_DEPTHS = (50, 400)  # of 20-qubit random circuits, seed 1
+
+
+def best_time(fn, reps: int) -> float:
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def main(argv=None) -> None:
@@ -52,18 +65,19 @@ def main(argv=None) -> None:
         for engine in ("simple", "depth"):
             config = RunConfig(representation=representation, engine=engine)
             steps = len(engines._schedule(circuit, config)[0])
-            times = []
-            for _ in range(args.reps):
-                start = time.perf_counter()
-                run(circuit, config)
-                times.append(time.perf_counter() - start)
-            print(f"{name},{engine},{unfused},{steps},{min(times):.4f}")
+            best = best_time(lambda: run(circuit, config), args.reps)
+            print(f"{name},{engine},{unfused},{steps},{best:.4f}")
     c6 = CRITERION_6
     print(f"\ncriterion 6: {c6['qubits']} qubits, depths {c6['depths']}, median of 3 (ms)")
     for engine in ("simple", "mps"):
         points = bench_depth_sweep(c6["qubits"], c6["depths"], engine, 3, c6["seed"])
         ms = [p.wall_time_seconds * 1e3 for p in points]
         print(f"{engine}: {', '.join(f'{t:.1f}' for t in ms)}; max/min {max(ms) / min(ms):.1f}")
+    print("\nparse: depth,lines,best_s")
+    for depth in PARSE_DEPTHS:
+        text = emit_qasm(random_circuit(20, depth, 1))
+        best = best_time(lambda: parse_qasm(text), args.reps)
+        print(f"{depth},{len(text.splitlines())},{best:.4f}")
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ def _load_circuit(path: str) -> Circuit:
     if path.endswith(".json"):
         try:
             return circuit_from_json(text)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise SystemExitError(EXIT_INPUT_ERROR, f"{path}: {exc}")
     try:
         return parse_qasm(text)
@@ -76,7 +76,7 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors
+    except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 decoding errors
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot read noise config: {exc}")
     try:
         if not isinstance(doc, dict):

@@ -120,9 +120,12 @@ def _check_run(circuit: Circuit, config: RunConfig, shots: int | None = None):
     states the run holds at once exceed this host's memory.
 
     `run` holds one dense state on every engine, as the MPS export is
-    dense: 16·2^n bytes, or 16·4^n for a density matrix. The walk of
-    `run_shots` holds at most min(floor(log2 shots), measurements) + 2
-    backends at once (`_execute`): dense states, or MPS chains. A chain
+    dense: 16·2^n bytes, or 16·4^n for a density matrix. The MPS export
+    of an unrouted chain holds that vector plus two half-chains; a chain
+    that routing left out of qubit order holds one reordered copy as well,
+    which is not counted here. The walk of `run_shots` holds at most
+    min(floor(log2 shots), measurements) + 2 backends at once
+    (`_execute`): dense states, or MPS chains. A chain
     capped at bond χ holds 32·χ² bytes of amplitudes per site, plus 256
     for the array header, its list slot and the site's qubit; an uncapped
     one can reach bond 2^(n/2), so it is counted as dense. Nothing is
@@ -291,7 +294,10 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     _check_run(circuit, config)
     backend = _backend(circuit, config)
     steps, stop = _schedule(circuit, config)
-    draws = np.random.default_rng(config.seed).random((1, _measurements(steps)))
+    measured = _measurements(steps)
+    draws = np.empty((1, 0))  # no generator is built for a run that draws nothing
+    if measured:
+        draws = np.random.default_rng(config.seed).random((1, measured))
     records = []
     [(leaf, clbits, _)] = _execute(backend, steps, draws, circuit.num_clbits, records)
     return RunResult(leaf.export(), tuple(clbits), tuple(records), stop)
@@ -406,7 +412,7 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     _check_memory(8 * shots * (_measurements(steps) + 1), f"sampling {shots} shots")
     backend = _backend(circuit, config)
     draws = np.empty((shots, _measurements(steps)))
-    for i in range(shots):
+    for i in range(shots if draws.shape[1] else 0):  # no seeds to derive without draws
         seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])
         draws[i] = np.random.default_rng(seed).random(draws.shape[1])
     counts, first = {}, {}

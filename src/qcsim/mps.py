@@ -10,6 +10,10 @@ orthogonality centre are left-isometric and those right of it
 right-isometric (Schollwöck, arXiv:1008.3477 §4); a split keeps this by
 putting the singular values on the tensor nearer the centre.
 Measurements move the centre onto their site with QR steps and read it.
+The dense export cuts the chain at the bond that makes the two half-chains
+smallest and multiplies their contractions into the vector, site s on bit
+s: it holds the vector plus two half-chains, and a routed chain, whose
+sites are out of qubit order, one reordered copy as well.
 """
 
 from __future__ import annotations
@@ -136,12 +140,40 @@ class MPSState:
         return self.to_pure_state()
 
     def to_pure_state(self):
-        """Contract the chain in site order and put it in qubit order; unscaled."""
-        acc = self.tensors[0].reshape(2, -1)
-        for t in self.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=(-1, 0))
-        # Site 0 is the most significant bit of the contracted vector.
-        return PureState(self.num_qubits, to_qubit_order(acc.reshape(-1), self.qubits[::-1]))
+        """Contract the chain into the state vector, in qubit order; unscaled.
+
+        The chain is cut at the site m whose left bond chi_m minimizes
+        chi_m * (2^m + 2^(n-m)). Sites below the cut contract into L
+        (chi_m x 2^m, site 0 the least significant bit), the rest into R
+        (2^(n-m) x chi_m, site n-1 the most significant), one matmul a site;
+        R @ L is the vector with site s on bit s. The vector is the only
+        full-size array allocated, unless the chain is routed: then
+        to_qubit_order makes one reordered copy.
+        """
+        n, t = self.num_qubits, self.tensors
+        m = min(range(1, n), key=lambda k: t[k].shape[0] * ((1 << k) + (1 << (n - k))),
+                default=n)
+        # The half-chains are temporaries, freed before a reordered copy is made.
+        vector = (_right_half(t[m:]) @ _left_half(t[:m])).reshape(-1)
+        return PureState(n, to_qubit_order(vector, self.qubits))
+
+
+def _left_half(tensors):
+    """Contract sites into a (chi, 2^k) matrix, the first site the least significant bit."""
+    left = np.ones((1, 1), dtype=np.complex128)
+    for a in tensors:
+        chi_l, _, chi_r = a.shape
+        left = (a.transpose(2, 1, 0).reshape(2 * chi_r, chi_l) @ left).reshape(chi_r, -1)
+    return left
+
+
+def _right_half(tensors):
+    """Contract sites into a (2^k, chi) matrix, the last site the most significant bit."""
+    right = np.ones((1, 1), dtype=np.complex128)
+    for a in reversed(tensors):
+        chi_l, _, chi_r = a.shape
+        right = (right @ a.transpose(2, 1, 0).reshape(chi_r, 2 * chi_l)).reshape(-1, chi_l)
+    return right
 
 
 def _swap_gate_qubits(matrix):

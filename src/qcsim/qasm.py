@@ -6,7 +6,8 @@ space in declaration order), applications of the standard gate names
 (including u1/u2/u3 lowered to U3), single and whole-register `measure`,
 `if (c == k)` conditions on 1-bit classical registers, and `barrier`
 (parsed and ignored). Gate parameters accept real literals, `pi`, the four
-arithmetic operators, unary minus, and parentheses.
+arithmetic operators, unary minus, and parentheses, nested at most
+MAX_NESTING levels deep.
 
 Anything else raises ParseError with a line:column position. The lexer
 makes one regex pass into (kind, text, offset) tuples; a position's line
@@ -51,6 +52,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+# expect() matches these token kinds by kind, and anything else by text
+_VALUE_KINDS = frozenset({"ID", "INT", "REAL", "STRING"})
+# levels of unary minus and parentheses allowed in one parameter expression
+MAX_NESTING = 100
+
 # QASM name -> (package gate name, parameter count); u1/u2 are lowered below.
 _QASM_GATES = {
     "id": ("I", 0),
@@ -86,6 +92,7 @@ class _Parser:
         self.num_qubits = 0
         self.num_clbits = 0
         self.instructions: list[Instruction] = []
+        self.nesting = 0  # open levels of the parameter expression being parsed
         # an unexpected character is reported before any syntax error
         for tok in self.tokens:
             if tok[0] == "BAD":
@@ -103,8 +110,10 @@ class _Parser:
         return tok
 
     def expect(self, text_or_kind: str) -> tuple:
+        """Consume the next token if its kind is `text_or_kind`, for a value
+        kind, or else its text is; raise a ParseError if not."""
         kind, text, _ = self.peek()
-        if text == text_or_kind or kind == text_or_kind:
+        if (kind if text_or_kind in _VALUE_KINDS else text) == text_or_kind:
             return self.next()
         self.error(f"expected {text_or_kind!r}, found {text or 'end of input'!r}")
 
@@ -314,14 +323,18 @@ class _Parser:
         return value
 
     def unary(self) -> float:
-        if self.peek()[1] == "-":
-            self.next()
-            return -self.unary()
         tok = self.peek()
-        if tok[1] == "(":
+        if tok[1] in ("-", "("):
+            if self.nesting == MAX_NESTING:
+                self.error(f"parameter expression nested deeper than {MAX_NESTING} levels")
+            self.nesting += 1
             self.next()
-            value = self.expression()
-            self.expect(")")
+            if tok[1] == "-":
+                value = -self.unary()
+            else:
+                value = self.expression()
+                self.expect(")")
+            self.nesting -= 1
             return value
         if tok[0] in ("REAL", "INT"):
             self.next()

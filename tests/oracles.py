@@ -2,13 +2,14 @@
 
 The engines contract each operator into a raw state on its target axes
 only (`gates.apply_on_qubits`). The functions here build the 2^n x 2^n
-matrices and reduced states that the tests check those kernels against.
-The library does not import this module.
+matrices and reduced states that the tests check those kernels against,
+and `mps_vector`, the site-by-site contraction that the MPS export is
+checked against. The library does not import this module.
 """
 
 import numpy as np
 
-from qcsim.state import DensityMatrix, PureState
+from qcsim.state import DensityMatrix, PureState, to_qubit_order
 
 
 def zero_density(num_qubits: int) -> DensityMatrix:
@@ -59,6 +60,18 @@ def pure_to_density(psi: PureState) -> DensityMatrix:
     """Outer product |psi><psi|, bridging the two representations."""
     mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
     return DensityMatrix(psi.num_qubits, mat)
+
+
+def mps_vector(mps) -> np.ndarray:
+    """An MPSState's raw vector in qubit order, unscaled.
+
+    The chain is contracted in site order with tensordot, which puts site 0
+    on the most significant bit, then reordered so that qubit q is bit q.
+    """
+    acc = mps.tensors[0].reshape(2, -1)
+    for t in mps.tensors[1:]:
+        acc = np.tensordot(acc, t, axes=(-1, 0))
+    return to_qubit_order(acc.reshape(-1), mps.qubits[::-1])
 
 
 def _check_keep(keep, num_qubits):

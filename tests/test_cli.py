@@ -183,6 +183,18 @@ class TestRun:
                          b' "epsilon": true}}}]}'),
         ("global_epsilon.json", b'{"num_qubits": 1, "instructions": [], "global_noise":'
                                 b' {"0": {"kind": "dephasing", "epsilon": true}}}'),
+        # an identifier where an integer or a string belongs
+        ("int_size.qasm", b"OPENQASM 2.0;\nqreg q[INT];\n"),
+        ("int_index.qasm", b"OPENQASM 2.0;\nqreg q[1];\nx q[INT];\n"),
+        ("int_condition.qasm", b"OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == INT) x q[0];\n"),
+        ("string_include.qasm", b"OPENQASM 2.0;\ninclude STRING;\nqreg q[1];\n"),
+        # nesting deeper than the parser or the JSON decoder recurses
+        pytest.param("minus_signs.qasm",
+                     b"OPENQASM 2.0;\nqreg q[1];\nrx(" + b"-" * 5000 + b"1) q[0];\n",
+                     id="minus_signs.qasm"),
+        pytest.param("parentheses.qasm", b"OPENQASM 2.0;\nqreg q[1];\nrx("
+                     + b"(" * 3000 + b"1" + b")" * 3000 + b") q[0];\n", id="parentheses.qasm"),
+        pytest.param("nested.json", b"[" * 200_000, id="nested.json"),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name
@@ -261,6 +273,14 @@ class TestRun:
     def test_non_utf8_noise_config_exits_1(self, bell_path, tmp_path, capsys):
         noise_path = tmp_path / "noise.json"
         noise_path.write_bytes(b'{"global": "\xff"}')
+        code = main(["run", bell_path, "--repr", "density", "--noise-config", str(noise_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read noise config: ") and err.count("\n") == 1
+
+    def test_deeply_nested_noise_config_exits_1(self, bell_path, tmp_path, capsys):
+        noise_path = tmp_path / "noise.json"
+        noise_path.write_bytes(b"[" * 200_000)
         code = main(["run", bell_path, "--repr", "density", "--noise-config", str(noise_path)])
         assert code == 1
         err = capsys.readouterr().err

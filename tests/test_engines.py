@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from qcsim.circuit import (
     measure,
     random_circuit,
 )
-from oracles import gate_tensor_on, pure_to_density
+from oracles import gate_tensor_on, mps_vector, pure_to_density
 from qcsim import engines
 from qcsim import state as st
 from qcsim.engines import ConfigError, DenseGroups, RunConfig, run, run_shots
@@ -214,6 +215,80 @@ class TestMps:
             mps.export()
 
 
+def _export_chain(kind, n):
+    """An n-qubit MPSState of one of EXPORT_CHAINS, from random U3 angles.
+
+    brickwork: U3 gates, then four layers of nearest-neighbour CX gates,
+    each followed by U3 gates; routed: brickwork, then CX between qubits q
+    and n-1-q for q < (n+3)//4, whose SWAPs leave the sites out of qubit
+    order; product: U3 gates only (every bond 1); ghz: H, then a CX
+    ladder; capped: two brickwork layers at bond cap 2, which they fill;
+    measured: brickwork, then measurements of qubits n//2, 0 and n-1,
+    which move the centre.
+    """
+    rng = np.random.default_rng(n)
+    chain = MPSState(n, max_bond=2 if kind == "capped" else None)
+
+    def u3_layer():
+        for q in range(n):
+            chain.apply(make_gate("U3", rng.uniform(0, 2 * np.pi, 3)).matrix, (q,))
+
+    cx_gate = make_gate("CX").matrix
+    if kind == "ghz":
+        chain.apply(make_gate("H").matrix, (0,))
+        for q in range(n - 1):
+            chain.apply(cx_gate, (q, q + 1))
+        return chain
+    u3_layer()
+    for layer in range({"product": 0, "capped": 2}.get(kind, 4)):
+        for q in range(layer % 2, n - 1, 2):
+            chain.apply(cx_gate, (q, q + 1))
+        u3_layer()
+    if kind == "routed":
+        for q in range((n + 3) // 4 if n > 1 else 0):
+            chain.apply(cx_gate, (q, n - 1 - q))
+        u3_layer()
+    if kind == "measured":
+        for q in (n // 2, 0, n - 1):
+            chain.collapse(q, 0 if chain.prob_zero(q) >= 0.5 else 1)
+    return chain
+
+
+EXPORT_CHAINS = ("brickwork", "routed", "product", "ghz", "capped", "measured")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("kind", EXPORT_CHAINS)
+def test_export_matches_the_site_by_site_contraction(kind, n):
+    chain = _export_chain(kind, n)
+    if kind == "product":
+        assert chain.bond_dims() == [1] * (n - 1)
+    if kind == "routed" and n > 2:
+        assert chain.qubits != list(range(n))
+    if kind == "capped" and n > 3:
+        assert max(chain.bond_dims()) == 2
+    if kind == "measured" and n > 2:
+        assert chain.centre == n - 1
+    got = chain.export().amplitudes
+    assert np.abs(got - mps_vector(chain)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind, bound", [("brickwork", 1.1), ("routed", 2.1)])
+def test_export_allocates_one_vector(kind, bound):
+    """The export's peak, in multiples of the 16-qubit vector's bytes: an
+    unrouted chain holds the vector and two small half-chains; a routed
+    one also holds one reordered copy."""
+    n = 16
+    chain = _export_chain(kind, n)
+    tracemalloc.start()
+    try:
+        chain.export()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * 2**n
+
+
 def _assert_same_run(result, oracle):
     """States within 1e-10; identical bits, outcomes and layers."""
     if isinstance(oracle.final_state, PureState):
@@ -334,6 +409,32 @@ class TestRunShots:
     def test_reproducible(self):
         c = Circuit(1, 1, [h(0), measure(0, 0)])
         assert run_shots(c, RunConfig(seed=2), 100) == run_shots(c, RunConfig(seed=2), 100)
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a run without measurements built a generator")
+
+
+@pytest.mark.parametrize("engine, representation",
+                         [("simple", "wave"), ("depth", "wave"), ("mps", "wave"),
+                          ("simple", "density"), ("depth", "density")])
+@pytest.mark.parametrize("clbits", [0, 2])
+def test_runs_without_measurements_draw_no_seed(engine, representation, clbits, monkeypatch):
+    # with no measurement every clbit reads 0, so the conditioned X applies
+    condition = (0, 0) if clbits else None
+    c = Circuit(3, clbits, [h(0), cx(0, 2), ry(1, 0.3), x(2, condition=condition)])
+    config = RunConfig(representation=representation, engine=engine, seed=4)
+    want = run(c, config)
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    monkeypatch.setattr(np.random, "SeedSequence", _no_generator)
+    got = run(c, config)
+    if representation == "wave":
+        assert np.array_equal(got.final_state.amplitudes, want.final_state.amplitudes)
+        assert np.abs(got.final_state.amplitudes - reference_run(c)).max() < 1e-12
+    else:
+        assert np.array_equal(got.final_state.matrix, want.final_state.matrix)
+    assert got.classical_bits == (0,) * clbits and got.measurements == ()
+    assert run_shots(c, config, 1000) == {"0" * clbits: 1000}
 
 
 def _shot_circuits():

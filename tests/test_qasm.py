@@ -5,7 +5,7 @@ import pytest
 
 from qcsim.circuit import Circuit, depth, gate_app, measure, random_circuit
 from qcsim.gates import make_gate
-from qcsim.qasm import ParseError, emit_qasm, parse_qasm
+from qcsim.qasm import MAX_NESTING, ParseError, emit_qasm, parse_qasm
 
 BELL = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -147,6 +147,20 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_qasm(garbage)
 
+    @pytest.mark.parametrize("opening, closing", [("-", ""), ("(", ")"), ("-(", ")")])
+    def test_nesting_up_to_the_bound_parses(self, opening, closing):
+        levels = MAX_NESTING // len(opening)
+        expr = opening * levels + "0.5" + closing * levels
+        c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
+        assert c.instructions[0].gate.params == (0.5 * (-1) ** (levels * opening.count("-")),)
+
+    def test_nesting_counts_open_levels_only(self):
+        # closed levels are not counted: 2 * MAX_NESTING of them in one
+        # expression, and again in each of MAX_NESTING gates
+        expr = "+".join(["-(0.25)"] * (2 * MAX_NESTING))
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[1];\n" + f"rx({expr}) q[0];\n" * MAX_NESTING)
+        assert [ins.gate.params for ins in c.instructions] == [(-0.5 * MAX_NESTING,)] * MAX_NESTING
+
     # (source, (line, column, kind, message)); each position is 1-based and
     # counts a tab, a carriage return or a comment's characters as columns.
     @pytest.mark.parametrize("source, expected", [
@@ -196,6 +210,25 @@ class TestParseErrors:
          (3, 7, 'Syntax', "expected ')', found 'e'")),
         ('OPENQASM 2.0;\nqreg q[1];\nx q[0]; /* block */\n',
          (3, 9, 'Syntax', "unexpected '/'")),
+        # a value kind is matched by kind, not by an identifier that spells it
+        ('OPENQASM 2.0;\nqreg q[INT];\n',
+         (2, 8, 'Syntax', "expected 'INT', found 'INT'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nx q[INT];\n',
+         (3, 5, 'Syntax', "expected 'INT', found 'INT'")),
+        ('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == INT) x q[0];\n',
+         (4, 10, 'Syntax', "expected 'INT', found 'INT'")),
+        ('OPENQASM 2.0;\ninclude STRING;\nqreg q[1];\n',
+         (2, 9, 'Syntax', "expected 'STRING', found 'STRING'")),
+        # one level past MAX_NESTING, at the token that opens it
+        pytest.param('OPENQASM 2.0;\nqreg q[1];\nrx(' + '-' * 101 + '1) q[0];\n',
+                     (3, 104, 'Syntax', 'parameter expression nested deeper than 100 levels'),
+                     id="101-minus-signs"),
+        pytest.param('OPENQASM 2.0;\nqreg q[1];\nrx(' + '(' * 101 + '1' + ')' * 101 + ') q[0];\n',
+                     (3, 104, 'Syntax', 'parameter expression nested deeper than 100 levels'),
+                     id="101-parentheses"),
+        pytest.param('OPENQASM 2.0;\nqreg q[1];\nrx(' + '-(' * 50 + '-1' + ')' * 50 + ') q[0];\n',
+                     (3, 104, 'Syntax', 'parameter expression nested deeper than 100 levels'),
+                     id="101-levels-mixed"),
     ])
     def test_error_positions_are_pinned(self, source, expected):
         err = self.check(source)

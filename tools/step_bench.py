@@ -14,7 +14,10 @@ that only 2-qubit steps remain. Then it prints the depth sweep of
 acceptance criterion 6 (10 qubits, depths 5 to 30, seed 12, median of 3)
 for `simple` and `mps`, with each curve's max/min ratio, and last the
 line count and best `parse_qasm` time of the QASM text of 20-qubit random
-circuits of depth 50 and 400 (seed 1).
+circuits of depth 50 and 400 (seed 1), and last, for MPS chains of 16
+and 20 qubits, unrouted and routed, the best time of the dense export
+(`MPSState.to_pure_state`) and its tracemalloc peak per byte of the
+exported vector (16 x 2^n).
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -30,6 +36,8 @@ from qcsim import engines  # noqa: E402
 from qcsim.bench import bench_depth_sweep  # noqa: E402
 from qcsim.circuit import instruction_layers, random_circuit  # noqa: E402
 from qcsim.engines import RunConfig, run  # noqa: E402
+from qcsim.gates import make_gate  # noqa: E402
+from qcsim.mps import MPSState  # noqa: E402
 from qcsim.noise import NoiseSpec  # noqa: E402
 from qcsim.qasm import emit_qasm, parse_qasm  # noqa: E402
 
@@ -39,6 +47,7 @@ CIRCUITS = [(10, 30, "wave", None), (16, 20, "wave", None), (20, 10, "wave", Non
             (7, 15, "density", "depolarizing")]
 CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
 PARSE_DEPTHS = (50, 400)  # of 20-qubit random circuits, seed 1
+EXPORT_QUBITS = (16, 20)
 
 
 def best_time(fn, reps: int) -> float:
@@ -48,6 +57,33 @@ def best_time(fn, reps: int) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def export_chain(qubits: int, routed: bool) -> MPSState:
+    """A chain after four layers of random U3 gates, each followed by
+    nearest-neighbour CX gates (seed 1). A routed chain then gets a CX
+    between qubits q and n-1-q for q < n/4, whose SWAPs leave its sites
+    out of qubit order."""
+    rng = np.random.default_rng(1)
+    chain, cx = MPSState(qubits), make_gate("CX").matrix
+    for layer in range(4):
+        for q in range(qubits):
+            chain.apply_1q(make_gate("U3", rng.uniform(0, 2 * np.pi, 3)).matrix, q)
+        for q in range(layer % 2, qubits - 1, 2):
+            chain.apply_2q(cx, q, q + 1)
+    for q in range(qubits // 4 if routed else 0):
+        chain.apply_2q(cx, q, qubits - 1 - q)
+    return chain
+
+
+def export_peak(chain: MPSState) -> int:
+    """The tracemalloc peak, in bytes, of one export of the chain."""
+    tracemalloc.start()
+    try:
+        chain.to_pure_state()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv=None) -> None:
@@ -78,6 +114,14 @@ def main(argv=None) -> None:
         text = emit_qasm(random_circuit(20, depth, 1))
         best = best_time(lambda: parse_qasm(text), args.reps)
         print(f"{depth},{len(text.splitlines())},{best:.4f}")
+    print("\nmps export: qubits,chain,max_bond,best_s,peak_per_vector_byte")
+    for qubits in EXPORT_QUBITS:
+        for routed in (False, True):
+            chain = export_chain(qubits, routed)
+            best = best_time(chain.to_pure_state, args.reps)
+            peak = export_peak(chain) / (16 << qubits)
+            label = "routed" if routed else "unrouted"
+            print(f"{qubits},{label},{max(chain.bond_dims())},{best:.4f},{peak:.2f}")
 
 
 if __name__ == "__main__":

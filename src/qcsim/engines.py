@@ -13,8 +13,9 @@ is the state after each string of outcomes (noise channels are steps of
 the schedule too), so each branch that some shot takes is simulated once.
 `run` walks the single path of one shot and records its measurements;
 `run_shots` walks all its shots at once and counts them at the leaves.
-Each shot draws what `run` draws with that shot's seed, by the same numpy
-calls on the same arrays, so the counts equal one `run` per shot exactly.
+Each shot draws what `run` draws with that shot's seed, the same PCG64
+output bit for bit, from a generator state that `_shot_draws` derives in
+closed form, so the counts equal one `run` per shot exactly.
 
 The engine selects the backend the loop drives:
 
@@ -27,7 +28,8 @@ The engine selects the backend the loop drives:
   export does, once.
 * ``mps``    — a matrix product state (`MPSState`): truncated-SVD splits,
   SWAPs that are never undone for distant pairs, and measurements read at
-  the chain's orthogonality centre; wave functions only.
+  the chain's orthogonality centre, which a collapse at a site with left
+  bond 1 hands on to the next site without QR; wave functions only.
 
 For the two dense engines, `_schedule` fuses steps (`_fuse`): each run of
 unconditioned 1-qubit steps on a qubit is multiplied into the operator of
@@ -119,11 +121,12 @@ def _check_run(circuit: Circuit, config: RunConfig, shots: int | None = None):
     """Raise ConfigError if the config cannot run the circuit, or if the
     states the run holds at once exceed this host's memory.
 
-    `run` holds one dense state on every engine, as the MPS export is
-    dense: 16·2^n bytes, or 16·4^n for a density matrix. The MPS export
-    of an unrouted chain holds that vector plus two half-chains; a chain
-    that routing left out of qubit order holds one reordered copy as well,
-    which is not counted here. The walk of `run_shots` holds at most
+    `run` exports a dense state on every engine, 16·2^n bytes, or 16·4^n
+    for a density matrix, and counts the states the export holds at its
+    peak: the state; on `depth` and `mps` one reordered copy, as the
+    merge order or the routed chain may leave qubits out of order; for a
+    density matrix three more, which `hermitize` and the validation
+    allocate. The walk of `run_shots` holds at most
     min(floor(log2 shots), measurements) + 2 backends at once
     (`_execute`): dense states, or MPS chains. A chain
     capped at bond χ holds 32·χ² bytes of amplitudes per site, plus 256
@@ -137,11 +140,14 @@ def _check_run(circuit: Circuit, config: RunConfig, shots: int | None = None):
     n, chi = circuit.num_qubits, config.mps_max_bond
     size, exponent = 16, n if config.representation == WAVE else 2 * n
     what = f"a {n}-qubit {config.representation} state"
-    if shots is not None:
+    if shots is None:
+        copies = 1 + (config.engine != SIMPLE) + 3 * (config.representation == DENSITY)
+    else:
         measured = sum(ins.kind == MEASURE for ins in circuit.instructions)
         copies = min(int(shots).bit_length() - 1, measured) + 2
         if config.engine == MPS and chi is not None:
             size, exponent, what = n * (32 * chi * chi + 256), 0, f"{what} at bond {chi}"
+    if copies > 1:
         size, what = copies * size, f"{what} in {copies} copies"
     _check_memory(size, what, exponent)
 
@@ -398,11 +404,13 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     """Run `shots` times with per-shot derived seeds; count classical outcomes.
 
     Keys are bit strings with classical bit 0 rightmost, in the order in
-    which shots first give them. Shot i uses the seed sequence
-    (config.seed, i), so results are reproducible, and it draws what `run`
-    draws with that seed. All shots walk one outcome tree: each distinct
-    branch is simulated once. No state is built: each leaf's trace() must
-    be 1 within NORM_ATOL.
+    which shots first give them. Shot i draws what `run` draws with the
+    seed `SeedSequence([config.seed, i]).generate_state(1)[0]`, bit for
+    bit, so results are reproducible; `_shot_draws` derives every shot's
+    generator state in closed form, without building a generator per
+    shot. All shots walk one outcome tree: each distinct branch is
+    simulated once. No state is built: each leaf's trace() must be 1
+    within NORM_ATOL.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -411,10 +419,7 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     # the draws, and the shot indices at the root of the walk
     _check_memory(8 * shots * (_measurements(steps) + 1), f"sampling {shots} shots")
     backend = _backend(circuit, config)
-    draws = np.empty((shots, _measurements(steps)))
-    for i in range(shots if draws.shape[1] else 0):  # no seeds to derive without draws
-        seed = int(np.random.SeedSequence([config.seed, i]).generate_state(1)[0])
-        draws[i] = np.random.default_rng(seed).random(draws.shape[1])
+    draws = _shot_draws(config.seed, range(shots), _measurements(steps))
     counts, first = {}, {}
     for leaf, clbits, hits in _execute(backend, steps, draws, circuit.num_clbits):
         if not abs(leaf.trace() - 1.0) <= st.NORM_ATOL:
@@ -423,3 +428,99 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
         counts[key] = counts.get(key, 0) + len(hits)
         first[key] = min(first.get(key, hits[0]), hits[0])
     return {key: counts[key] for key in sorted(counts, key=first.get)}
+
+
+# ---------------------------------------------------------------------------
+# per-shot seeds
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(entropy: list, n_words: int) -> list:
+    """`SeedSequence(entropy).generate_state(n_words)` for many sequences at
+    once: entropy[k] holds word k of every sequence, as a uint32 array, and
+    word k of the result is returned likewise. The hash constants evolve
+    the same way for every sequence of the same length, so each step is
+    one array operation; uint32 arrays wrap as the C code does."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * _MULT_A & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, words = _INIT_B, []
+    for k in range(n_words):
+        value = pool[k % 4] ^ np.uint32(h)
+        h = h * _MULT_B & _MASK32
+        value = value * np.uint32(h)
+        words.append(value ^ (value >> 16))
+    return words
+
+
+def _uint32_words(value: int) -> list:
+    """The uint32 words of a non-negative int, least significant first, as
+    SeedSequence splits each entry of its entropy (0 is one word)."""
+    return [value >> 32 * k & _MASK32 for k in range(max(1, -(-value.bit_length() // 32)))]
+
+
+def _shot_draws(seed: int, shots: range, measured: int) -> np.ndarray:
+    """Row j: `default_rng(SeedSequence([seed, i]).generate_state(1)[0])
+    .random(measured)` for shot index i = shots[j], bit for bit; `shots`
+    is a range with step 1.
+
+    Both SeedSequence stages are hashed for all shots at once
+    (`_seed_words`), over each span of shots whose index has the same
+    words above the lowest, so the entropy of a span is one uint32 array
+    per word. Each shot's PCG64 (state, inc) follows from the second
+    stage's 8 words by PCG64's seeding arithmetic (srandom: inc = 2t + 1,
+    state = ((inc + s)·M + inc) mod 2^128), and is set on one reused
+    PCG64 before the shot's draws. No generator is built when there is
+    nothing to draw.
+    """
+    draws = np.empty((len(shots), measured))
+    if not measured or not shots:
+        return draws
+    bits = np.random.PCG64(seed)
+    generator = np.random.Generator(bits)
+    row = 0
+    for high in range(shots.start >> 32, (shots.stop - 1 >> 32) + 1):
+        base = high << 32
+        low = np.arange(max(shots.start, base) - base, min(shots.stop, base + (1 << 32)) - base,
+                        dtype=np.uint32)
+        seed_words, high_words = _uint32_words(seed), _uint32_words(high) if high else []
+        [first] = _seed_words([np.full(len(low), w, np.uint32) for w in seed_words] + [low]
+                              + [np.full(len(low), w, np.uint32) for w in high_words], 1)
+        # generate_state(4, uint64) reads the 8 words as little-endian uint64:
+        # PCG64 is seeded with s = (v0, v1) and t = (v2, v3), high word first
+        words = np.empty((len(low), 8), dtype="<u4")
+        for k, word in enumerate(_seed_words([first], 8)):
+            words[:, k] = word
+        for v0, v1, v2, v3 in words.view("<u8").tolist():
+            inc = (v2 << 65 | v3 << 1 | 1) & _MASK128
+            state = ((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            generator.random(out=draws[row])
+            row += 1
+    return draws

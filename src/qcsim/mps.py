@@ -10,6 +10,10 @@ orthogonality centre are left-isometric and those right of it
 right-isometric (Schollwöck, arXiv:1008.3477 §4); a split keeps this by
 putting the singular values on the tensor nearer the centre.
 Measurements move the centre onto their site with QR steps and read it.
+A collapse at a site whose left bond is 1 leaves the outcome there as a
+product and absorbs the rest into the next site, which becomes the
+centre (Ferris & Vidal, arXiv:1201.3974), so measurements in ascending
+site order need no QR.
 The dense export cuts the chain at the bond that makes the two half-chains
 smallest and multiplies their contractions into the vector, site s on bit
 s: it holds the vector plus two half-chains, and a routed chain, whose
@@ -126,11 +130,29 @@ class MPSState:
         return float(np.linalg.norm(a[:, 0]) ** 2 / np.linalg.norm(a) ** 2)
 
     def collapse(self, qubit, outcome):
-        """Project the qubit onto |outcome> at the centre and renormalize."""
-        a = self._centre_on(qubit)
+        """Project the qubit onto |outcome> at the centre and renormalize.
+
+        If the centre's left bond is 1 and a site lies to its right, the
+        projected state is |outcome> on the centre times the normalized
+        projected row contracted into the next site (Ferris & Vidal,
+        arXiv:1201.3974): the site becomes |outcome> with bond 1, the row
+        is absorbed into its right neighbour with one matmul, and the
+        centre moves there. A sweep of ascending measurements then needs
+        no QR, and the bonds behind it drop to 1.
+        """
+        a, c = self._centre_on(qubit), self.centre
+        if a.shape[0] == 1 and c + 1 < self.num_qubits:
+            row, b = a[0, outcome], self.tensors[c + 1]
+            site = np.zeros((1, 2, 1), dtype=a.dtype)
+            site[0, outcome, 0] = 1.0
+            self.tensors[c] = site
+            self.tensors[c + 1] = (row / np.linalg.norm(row) @ b.reshape(len(b), -1)
+                                   ).reshape(1, 2, -1)
+            self.centre = c + 1
+            return
         kept = np.zeros_like(a)
         kept[:, outcome] = a[:, outcome]
-        self.tensors[self.centre] = kept / np.linalg.norm(kept)
+        self.tensors[c] = kept / np.linalg.norm(kept)
 
     def trace(self):
         """The state's norm squared: that of the centre tensor, as the chain is mixed-canonical."""

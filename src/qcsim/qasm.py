@@ -52,8 +52,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-# expect() matches these token kinds by kind, and anything else by text
-_VALUE_KINDS = frozenset({"ID", "INT", "REAL", "STRING"})
+# expect() matches these token kinds by kind, and anything else by text;
+# errors name them as below
+_VALUE_KINDS = {"ID": "an identifier", "INT": "an integer", "REAL": "a real number",
+                "STRING": "a string"}
 # levels of unary minus and parentheses allowed in one parameter expression
 MAX_NESTING = 100
 
@@ -115,7 +117,15 @@ class _Parser:
         kind, text, _ = self.peek()
         if (kind if text_or_kind in _VALUE_KINDS else text) == text_or_kind:
             return self.next()
-        self.error(f"expected {text_or_kind!r}, found {text or 'end of input'!r}")
+        expected = _VALUE_KINDS.get(text_or_kind, repr(text_or_kind))
+        self.error(f"expected {expected}, found {self.found()}")
+
+    def found(self) -> str:
+        """The next token, as an error names it: a value by its kind and text."""
+        kind, text, _ = self.peek()
+        if kind in _VALUE_KINDS:
+            return f"{_VALUE_KINDS[kind].split(' ', 1)[1]} {text!r}"
+        return repr(text or "end of input")
 
     def error(self, message: str, kind: str = SYNTAX, token: tuple | None = None):
         """Raise a ParseError at the token (default: the next one); its line
@@ -342,7 +352,7 @@ class _Parser:
         if tok[1] == "pi":
             self.next()
             return math.pi
-        self.error(f"expected a parameter expression, found {tok[1]!r}")
+        self.error(f"expected a parameter expression, found {self.found()}")
 
 
 def parse_qasm(source: str) -> Circuit:

@@ -251,6 +251,31 @@ class TestRun:
         assert err.startswith("error: a 1000000000-qubit ") and err.count("\n") == 1
         assert len(err.encode()) < 200
 
+    # memory for `states` of the run's states: its export holds 1 on simple,
+    # 2 on depth and mps, 4 for a density matrix on simple and 5 on depth
+    @pytest.mark.parametrize("engine, repr_, states, code", [
+        ("simple", "wave", 1.5, 0), ("depth", "wave", 1.5, 2), ("mps", "wave", 1.5, 2),
+        ("depth", "wave", 2.5, 0), ("mps", "wave", 2.5, 0),
+        ("simple", "density", 3.5, 2), ("simple", "density", 4.5, 0),
+        ("depth", "density", 4.5, 2), ("depth", "density", 5.5, 0),
+    ])
+    def test_run_counts_the_states_its_export_holds(self, tmp_path, capsys, monkeypatch,
+                                                    engine, repr_, states, code):
+        n = 12 if repr_ == "wave" else 6  # 64 KiB either way
+        path = tmp_path / "routed.qasm"
+        path.write_text(f"OPENQASM 2.0;\nqreg q[{n}];\nh q[0];\ncx q[{n - 1}],q[0];\n")
+        sysconf, page = os.sysconf, os.sysconf("SC_PAGE_SIZE")
+        pages = int(states * (16 << 12)) // page
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name))
+        assert main(["run", str(path), "--engine", engine, "--repr", repr_]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith(f"error: a {n}-qubit {repr_} state in ")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
     def test_mps_shots_beyond_dense_reach(self, tmp_path, capsys):
         ghz = tmp_path / "ghz.qasm"
         ghz.write_text("OPENQASM 2.0;\nqreg q[50];\ncreg c[50];\nh q[0];\n"

@@ -289,6 +289,48 @@ def test_export_allocates_one_vector(kind, bound):
     assert peak <= bound * 16 * 2**n
 
 
+def _unordered_circuit(n):
+    """A CX from qubit n-1 to 0, then a CX ladder: the depth engine's one
+    group holds its qubits out of qubit order."""
+    return Circuit(n, 0, [h(0), cx(n - 1, 0)] + [cx(q, q + 1) for q in range(n - 2)])
+
+
+@pytest.mark.parametrize("engine, representation, kind, n", [
+    ("simple", "wave", "random", 16), ("depth", "wave", "unordered", 16),
+    ("mps", "wave", "routed", 16), ("simple", "density", "random", 9),
+    ("depth", "density", "unordered", 9),
+])
+def test_check_run_counts_what_the_export_holds(engine, representation, kind, n, monkeypatch):
+    """The states that `_check_run` counts for `run` are those the backend
+    holds plus the tracemalloc peak of its export, in units of one state,
+    rounded up: the reordered copy of `depth` and of a routed `mps` chain,
+    and the three matrices of a density export's hermitize and checks."""
+    circuit = (_routed_circuit(np.random.default_rng(3), n) if kind == "routed" else
+               _unordered_circuit(n) if kind == "unordered" else random_circuit(n, 6, 1))
+    config = RunConfig(engine=engine, representation=representation)
+    asked = []
+    monkeypatch.setattr(engines, "_check_memory", lambda *args: asked.append(args))
+    engines._check_run(circuit, config)
+    [(size, _, exponent)] = asked
+    state_bytes = 16 << (n if representation == "wave" else 2 * n)
+    counted = size * 2**exponent / state_bytes
+    backend = engines._backend(circuit, config)
+    for ins, op in engines._schedule(circuit, config)[0]:
+        if op is not None:
+            backend.apply(op, ins.targets)
+    if kind == "routed":
+        assert backend.qubits != sorted(backend.qubits)
+    arrays = backend.tensors if engine == "mps" else [g.state for g in backend._groups()]
+    held = sum(a.nbytes for a in arrays)
+    tracemalloc.start()
+    try:
+        backend.export()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted - 1 < (held + peak) / state_bytes <= counted + 0.05
+
+
 def _assert_same_run(result, oracle):
     """States within 1e-10; identical bits, outcomes and layers."""
     if isinstance(oracle.final_state, PureState):
@@ -427,6 +469,7 @@ def test_runs_without_measurements_draw_no_seed(engine, representation, clbits, 
     want = run(c, config)
     monkeypatch.setattr(np.random, "default_rng", _no_generator)
     monkeypatch.setattr(np.random, "SeedSequence", _no_generator)
+    monkeypatch.setattr(np.random, "PCG64", _no_generator)
     got = run(c, config)
     if representation == "wave":
         assert np.array_equal(got.final_state.amplitudes, want.final_state.amplitudes)
@@ -514,6 +557,101 @@ def test_run_shots_matches_one_run_per_shot_with_noise(engine):
         NoiseSpec.uniform("amplitude_damping", 0.3, 2))
     config = RunConfig(engine=engine, representation="density", seed=4)
     assert run_shots(circuit, config, 40) == _shots_by_run(circuit, config, 40)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+def test_shot_draws_match_numpy_bit_for_bit(seed):
+    # 412 shot indices a seed, 2,060 (seed, i) pairs in all: indices of one
+    # uint32 word, and spans across 2^32 and 2^64, where they gain a word
+    spans = [range(400), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)]
+    for m in (1, 3, 12, 40):
+        for shots in spans:
+            want = np.array([
+                np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+                .random(m) for i in shots])
+            got = engines._shot_draws(seed, shots, m)
+            assert got.shape == (len(shots), m)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_run_shots_derives_seeds_without_a_generator_per_shot(monkeypatch):
+    circuit, config = _shot_circuits()["teleport"], RunConfig(seed=6)
+    want = run_shots(circuit, config, 300)
+    built = []
+
+    def counting(name):
+        real = getattr(np.random, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, wrapper)
+
+    # each of these builds one SeedSequence, unless given one
+    for name in ("SeedSequence", "default_rng", "PCG64"):
+        counting(name)
+    assert run_shots(circuit, config, 300) == want
+    assert len(built) <= 1, built
+
+
+def _collapse_by_qr(self, qubit, outcome):
+    """MPSState.collapse that always projects in place at the centre, which
+    a measurement on the next site must then move by QR."""
+    a = self._centre_on(qubit)
+    kept = np.zeros_like(a)
+    kept[:, outcome] = a[:, outcome]
+    self.tensors[self.centre] = kept / np.linalg.norm(kept)
+
+
+def test_mps_measure_sweep_needs_no_qr(monkeypatch):
+    n = 10
+    body = random_circuit(n, 8, 4)
+    circuit = Circuit(n, n, list(body.instructions) + [measure(q, q) for q in range(n)])
+    config = RunConfig(engine="mps", seed=2)
+    events, qr, collapse = [], np.linalg.qr, MPSState.collapse
+
+    def counting_qr(*args, **kwargs):
+        events.append("qr")
+        return qr(*args, **kwargs)
+
+    def checked_collapse(self, qubit, outcome):
+        collapse(self, qubit, outcome)
+        events.append("collapse")
+        assert self.bond_dims()[:self.centre] == [1] * self.centre
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(MPSState, "collapse", checked_collapse)
+    counts = run_shots(circuit, config, 200)
+    first = events.index("collapse")
+    assert "qr" not in events[first:]
+    assert len(counts) > 10 and _max_bond(body) > 1
+    # the same counts as collapses that move the centre by QR, which do QR here
+    events.clear()
+    monkeypatch.setattr(MPSState, "collapse", _collapse_by_qr)
+    assert list(run_shots(circuit, config, 200).items()) == list(counts.items())
+    assert events.count("qr") >= n - 1
+
+
+def _max_bond(circuit):
+    """The largest bond of the circuit's MPS before any measurement."""
+    backend = MPSState(circuit.num_qubits)
+    for ins in circuit.instructions:
+        backend.apply(ins.gate.matrix, ins.targets)
+    return max(backend.bond_dims())
+
+
+@pytest.mark.parametrize("name", ["teleport", "end", "conditional", "cut", "twice",
+                                  "one_bit", "overwrite", "once", "long"])
+def test_mps_absorbing_collapse_keeps_the_counts(name, monkeypatch):
+    circuit = _shot_circuits()[name]
+    shots = _SHOTS.get(name, 40)
+    configs = [RunConfig(engine="mps", seed=s) for s in (0, 9)]
+    if name == "cut":
+        configs = [replace(c, max_depth=d) for c in configs for d in (1, 2, 3)]
+    got = [run_shots(circuit, config, shots) for config in configs]
+    monkeypatch.setattr(MPSState, "collapse", _collapse_by_qr)
+    for counts, config in zip(got, configs):
+        assert list(counts.items()) == list(_shots_by_run(circuit, config, shots).items())
 
 
 def _replay(circuit, config):

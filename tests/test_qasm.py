@@ -177,13 +177,13 @@ class TestParseErrors:
         ('OPENQASM 2.0;\r\nqreg q[2];\r\n\t& q[0];\r\n',
          (3, 2, 'Lex', "unexpected character '&'")),
         ('OPENQASM 2.0;\nqreg q[2];\nx -> q[0];\n',
-         (3, 3, 'Syntax', "expected 'ID', found '->'")),
+         (3, 3, 'Syntax', "expected an identifier, found '->'")),
         ('OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q[0] == c[0];\n',
          (4, 14, 'Syntax', "expected '->', found '=='")),
         ('OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nif (c -> 1) x q[0];\n',
          (4, 7, 'Syntax', "expected '==', found '->'")),
         ('OPENQASM 2.0;\nqreg q[2];\ncx q[0],\n',
-         (4, 1, 'Syntax', "expected 'ID', found 'end of input'")),
+         (4, 1, 'Syntax', "expected an identifier, found 'end of input'")),
         ('OPENQASM 2.0;\nqreg q[2];\nrx(pi/2',
          (3, 8, 'Syntax', "expected ')', found 'end of input'")),
         ('OPENQASM 2.0;\nqreg q[2];\nx q[0]',
@@ -203,22 +203,29 @@ class TestParseErrors:
         ('OPENQASM 2.0;\nqreg q[2];\nx q[0];\n  barrier q\n',
          (5, 1, 'Syntax', 'unterminated barrier statement')),
         ('OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -> ;\n',
-         (3, 17, 'Syntax', "expected 'ID', found ';'")),
+         (3, 17, 'Syntax', "expected an identifier, found ';'")),
         ('OPENQASM 2.0;\nqreg q[1];\nu3(1,2 q[0];\n',
-         (3, 8, 'Syntax', "expected ')', found 'q'")),
+         (3, 8, 'Syntax', "expected ')', found identifier 'q'")),
         ('OPENQASM 2.0;\nqreg q[1];\nrx(1.5e) q[0];\n',
-         (3, 7, 'Syntax', "expected ')', found 'e'")),
+         (3, 7, 'Syntax', "expected ')', found identifier 'e'")),
         ('OPENQASM 2.0;\nqreg q[1];\nx q[0]; /* block */\n',
          (3, 9, 'Syntax', "unexpected '/'")),
         # a value kind is matched by kind, not by an identifier that spells it
         ('OPENQASM 2.0;\nqreg q[INT];\n',
-         (2, 8, 'Syntax', "expected 'INT', found 'INT'")),
+         (2, 8, 'Syntax', "expected an integer, found identifier 'INT'")),
         ('OPENQASM 2.0;\nqreg q[1];\nx q[INT];\n',
-         (3, 5, 'Syntax', "expected 'INT', found 'INT'")),
+         (3, 5, 'Syntax', "expected an integer, found identifier 'INT'")),
         ('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == INT) x q[0];\n',
-         (4, 10, 'Syntax', "expected 'INT', found 'INT'")),
+         (4, 10, 'Syntax', "expected an integer, found identifier 'INT'")),
         ('OPENQASM 2.0;\ninclude STRING;\nqreg q[1];\n',
-         (2, 9, 'Syntax', "expected 'STRING', found 'STRING'")),
+         (2, 9, 'Syntax', "expected a string, found identifier 'STRING'")),
+        # a value found where another kind is expected is named by its kind
+        ('OPENQASM 2.0;\nqreg 5[2];\n',
+         (2, 6, 'Syntax', "expected an identifier, found integer '5'")),
+        ('OPENQASM 2.0;\nqreg q[1.5];\n',
+         (2, 8, 'Syntax', "expected an integer, found real number '1.5'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nrx(',
+         (3, 4, 'Syntax', "expected a parameter expression, found 'end of input'")),
         # one level past MAX_NESTING, at the token that opens it
         pytest.param('OPENQASM 2.0;\nqreg q[1];\nrx(' + '-' * 101 + '1) q[0];\n',
                      (3, 104, 'Syntax', 'parameter expression nested deeper than 100 levels'),

@@ -17,7 +17,10 @@ line count and best `parse_qasm` time of the QASM text of 20-qubit random
 circuits of depth 50 and 400 (seed 1), and last, for MPS chains of 16
 and 20 qubits, unrouted and routed, the best time of the dense export
 (`MPSState.to_pure_state`) and its tracemalloc peak per byte of the
-exported vector (16 x 2^n).
+exported vector (16 x 2^n). Last, on each engine, the best time of
+1,000 `run_shots` of a 12-qubit `random_circuit` of depth 10 (seed 1)
+with every qubit measured at the end, and the best time of deriving the
+draws of those 1,000 shots alone (`engines._shot_draws`).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qcsim import engines  # noqa: E402
 from qcsim.bench import bench_depth_sweep  # noqa: E402
-from qcsim.circuit import instruction_layers, random_circuit  # noqa: E402
-from qcsim.engines import RunConfig, run  # noqa: E402
+from qcsim.circuit import Circuit, instruction_layers, measure, random_circuit  # noqa: E402
+from qcsim.engines import RunConfig, run, run_shots  # noqa: E402
 from qcsim.gates import make_gate  # noqa: E402
 from qcsim.mps import MPSState  # noqa: E402
 from qcsim.noise import NoiseSpec  # noqa: E402
@@ -48,6 +51,7 @@ CIRCUITS = [(10, 30, "wave", None), (16, 20, "wave", None), (20, 10, "wave", Non
 CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
 PARSE_DEPTHS = (50, 400)  # of 20-qubit random circuits, seed 1
 EXPORT_QUBITS = (16, 20)
+SHOTS = {"qubits": 12, "depth": 10, "shots": 1000}  # a measure-all circuit, seed 1
 
 
 def best_time(fn, reps: int) -> float:
@@ -122,6 +126,15 @@ def main(argv=None) -> None:
             peak = export_peak(chain) / (16 << qubits)
             label = "routed" if routed else "unrouted"
             print(f"{qubits},{label},{max(chain.bond_dims())},{best:.4f},{peak:.2f}")
+    n, shots = SHOTS["qubits"], SHOTS["shots"]
+    body = random_circuit(n, SHOTS["depth"], 1).instructions
+    circuit = Circuit(n, n, list(body) + [measure(q, q) for q in range(n)])
+    print(f"\nshots: {shots} shots, {n} qubits measured at the end; engine,best_s")
+    for engine in ("simple", "depth", "mps"):
+        config = RunConfig(engine=engine, seed=1)
+        print(f"{engine},{best_time(lambda: run_shots(circuit, config, shots), args.reps):.4f}")
+    best = best_time(lambda: engines._shot_draws(1, range(shots), n), args.reps)
+    print(f"seeds only,{best:.4f}")
 
 
 if __name__ == "__main__":

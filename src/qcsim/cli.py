@@ -38,9 +38,9 @@ import numpy as np
 
 from .bench import bench_depth_sweep, fidelity_csv, fidelity_sweep, timing_csv
 from .circuit import GATE_APP, Circuit, circuit_from_json, random_circuit
-from .engines import ConfigError, RunConfig, run, run_shots
+from .engines import ENGINES, REPRESENTATIONS, ConfigError, RunConfig, run, run_shots
 from .mps import BondOverflowError
-from .noise import NoiseSpec, channel_from_kind
+from .noise import NOISE_KINDS, NoiseSpec, channel_from_entry
 from .qasm import ParseError, emit_qasm, parse_qasm
 from .state import PureState
 
@@ -82,29 +82,22 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
         if not isinstance(doc, dict):
             raise ValueError("the top level must be a JSON object")
         if "global" in doc:
-            entry = doc["global"]
-            circuit = circuit.with_global_noise(
-                NoiseSpec.uniform(entry["kind"], entry["epsilon"], arity=2)
-            )
-        overrides: dict[int, dict] = {}
+            channel = channel_from_entry(doc["global"])
+            circuit = circuit.with_global_noise(NoiseSpec({0: channel, 1: channel}))
+        # an override replaces all of its instruction's noise: the slots of
+        # that instruction's override entries, and no others
+        instructions, overridden = list(circuit.instructions), {}
         for entry in doc.get("overrides", []):
-            slots = overrides.setdefault(operator.index(entry["instruction"]), {})
-            slots[operator.index(entry["slot"])] = channel_from_kind(
-                entry["kind"], entry["epsilon"]
-            )
-        if overrides:
-            instructions = list(circuit.instructions)
-            for index, slots in overrides.items():
-                if not 0 <= index < len(instructions):
-                    raise ValueError(f"override index {index} out of range")
-                ins = instructions[index]
-                if ins.kind != GATE_APP:
-                    raise ValueError(
-                        f"override index {index} targets a non-gate instruction"
-                    )
-                instructions[index] = replace(ins, noise=NoiseSpec(slots))
-            circuit = circuit.with_instructions(instructions)
-        return circuit
+            index = operator.index(entry["instruction"])
+            channel = channel_from_entry(entry)
+            slots = overridden.setdefault(index, {})
+            slots[operator.index(entry["slot"])] = channel
+            if not 0 <= index < len(instructions):
+                raise ValueError(f"override index {index} out of range")
+            if instructions[index].kind != GATE_APP:
+                raise ValueError(f"override index {index} targets a non-gate instruction")
+            instructions[index] = replace(instructions[index], noise=NoiseSpec(slots))
+        return circuit.with_instructions(instructions)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExitError(EXIT_CONFIG_ERROR, f"invalid noise config: {exc}")
 
@@ -389,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a circuit file")
     p_run.add_argument("circuit", help="path to a .qasm or circuit .json file")
-    p_run.add_argument("--repr", choices=["wave", "density"], default="wave")
-    p_run.add_argument("--engine", choices=["simple", "mps", "depth"], default="simple")
+    p_run.add_argument("--repr", choices=REPRESENTATIONS, default="wave")
+    p_run.add_argument("--engine", choices=ENGINES, default="simple")
     p_run.add_argument("--noise-config", default=None)
     p_run.add_argument("--shots", type=int, default=None)
     p_run.add_argument("--max-depth", type=int, default=None)
@@ -407,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.set_defaults(func=_cmd_random)
 
     p_bench = sub.add_parser("bench", help="depth timing sweep (CSV)")
-    p_bench.add_argument("--engine", choices=["simple", "mps", "depth"], required=True)
+    p_bench.add_argument("--engine", choices=ENGINES, required=True)
     p_bench.add_argument("--qubits", type=int, default=10)
     p_bench.add_argument("--depths", default="5,10,15,20,25,30")
     p_bench.add_argument("--reps", type=int, default=3)
@@ -416,11 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_sweep = sub.add_parser("noise-sweep", help="fidelity-vs-epsilon sweep (CSV)")
-    p_sweep.add_argument(
-        "--noise",
-        choices=["dephasing", "depolarizing", "amplitude_damping"],
-        default="dephasing",
-    )
+    p_sweep.add_argument("--noise", choices=NOISE_KINDS, default="dephasing")
     p_sweep.add_argument("--qubits", type=int, default=5)
     p_sweep.add_argument("--depth", type=int, default=15)
     p_sweep.add_argument(

@@ -66,12 +66,8 @@ from .gates import apply_local, apply_on_qubits, step_operator
 from .mps import MPSState
 from .state import DensityMatrix, MeasurementRecord, PureState
 
-WAVE = "wave"
-DENSITY = "density"
-
-SIMPLE = "simple"
-MPS = "mps"
-DEPTH = "depth"
+WAVE, DENSITY = REPRESENTATIONS = ("wave", "density")
+SIMPLE, MPS, DEPTH = ENGINES = ("simple", "mps", "depth")
 
 
 class ConfigError(ValueError):
@@ -87,9 +83,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.representation not in (WAVE, DENSITY):
+        if self.representation not in REPRESENTATIONS:
             raise ConfigError(f"unknown representation {self.representation!r}")
-        if self.engine not in (SIMPLE, MPS, DEPTH):
+        if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
@@ -126,9 +122,12 @@ def _check_run(circuit: Circuit, config: RunConfig, shots: int | None = None):
     peak: the state; on `depth` and `mps` one reordered copy, as the
     merge order or the routed chain may leave qubits out of order; for a
     density matrix three more, which `hermitize` and the validation
-    allocate. The walk of `run_shots` holds at most
+    allocate. On `simple` and `depth` a step holds three states, the
+    state and `apply_local`'s two temporaries, so a dense `run` counts at
+    least three. The walk of `run_shots` holds at most
     min(floor(log2 shots), measurements) + 2 backends at once
-    (`_execute`): dense states, or MPS chains. A chain
+    (`_execute`): dense states, or MPS chains; on `simple` and `depth`,
+    two more for the step in progress. A chain
     capped at bond χ holds 32·χ² bytes of amplitudes per site, plus 256
     for the array header, its list slot and the site's qubit; an uncapped
     one can reach bond 2^(n/2), so it is counted as dense. Nothing is
@@ -140,11 +139,13 @@ def _check_run(circuit: Circuit, config: RunConfig, shots: int | None = None):
     n, chi = circuit.num_qubits, config.mps_max_bond
     size, exponent = 16, n if config.representation == WAVE else 2 * n
     what = f"a {n}-qubit {config.representation} state"
+    dense = config.engine != MPS
     if shots is None:
         copies = 1 + (config.engine != SIMPLE) + 3 * (config.representation == DENSITY)
+        copies = max(copies, 3 * dense)
     else:
         measured = sum(ins.kind == MEASURE for ins in circuit.instructions)
-        copies = min(int(shots).bit_length() - 1, measured) + 2
+        copies = min(int(shots).bit_length() - 1, measured) + 2 + 2 * dense
         if config.engine == MPS and chi is not None:
             size, exponent, what = n * (32 * chi * chi + 256), 0, f"{what} at bond {chi}"
     if copies > 1:

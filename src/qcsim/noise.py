@@ -33,6 +33,7 @@ COMPLETENESS_ATOL = 1e-12
 DEPHASING = "dephasing"
 DEPOLARIZING = "depolarizing"
 AMPLITUDE_DAMPING = "amplitude_damping"
+NOISE_KINDS = (DEPHASING, DEPOLARIZING, AMPLITUDE_DAMPING)
 
 _PAULI_X, _PAULI_Y, _PAULI_Z = (make_gate(name).matrix for name in ("X", "Y", "Z"))
 
@@ -111,17 +112,19 @@ def amplitude_damping(epsilon: float) -> NoiseChannel:
     return NoiseChannel(AMPLITUDE_DAMPING, epsilon, (a0, a1))
 
 
-_FACTORIES = {
-    DEPHASING: dephasing,
-    DEPOLARIZING: depolarizing,
-    AMPLITUDE_DAMPING: amplitude_damping,
-}
+_FACTORIES = dict(zip(NOISE_KINDS, (dephasing, depolarizing, amplitude_damping)))
 
 
 def channel_from_kind(kind: str, epsilon: float) -> NoiseChannel:
     if kind not in _FACTORIES:
         raise ValueError(f"unknown noise kind {kind!r}")
     return _FACTORIES[kind](epsilon)
+
+
+def channel_from_entry(entry) -> NoiseChannel:
+    """The channel of a noise entry, `{"kind": ..., "epsilon": ...}`: each
+    slot of circuit JSON's noise, and each entry of a noise config."""
+    return channel_from_kind(entry["kind"], entry["epsilon"])
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,14 @@ class NoiseSpec:
         object.__setattr__(self, "per_qubit_channels", chans)
 
     def to_dict(self) -> dict:
+        """Each slot's entry; raises ValueError for a channel that no entry
+        names: one of a kind without a factory, or whose Kraus operators
+        act otherwise than those its kind's factory builds at its epsilon."""
+        for ch in self.per_qubit_channels.values():
+            if not np.array_equal(channel_from_kind(ch.kind, ch.epsilon).superoperator,
+                                  ch.superoperator):
+                raise ValueError(f"the {ch.kind} channel at epsilon {ch.epsilon} is not "
+                                 "its kind's channel, so no entry names it")
         return {
             str(slot): {"kind": ch.kind, "epsilon": ch.epsilon}
             for slot, ch in sorted(self.per_qubit_channels.items())
@@ -150,12 +161,7 @@ class NoiseSpec:
     def from_dict(data: dict) -> "NoiseSpec":
         if not isinstance(data, dict):
             raise ValueError(f"noise must be a JSON object, not {type(data).__name__}")
-        return NoiseSpec(
-            {
-                int(slot): channel_from_kind(entry["kind"], entry["epsilon"])
-                for slot, entry in data.items()
-            }
-        )
+        return NoiseSpec({int(slot): channel_from_entry(entry) for slot, entry in data.items()})
 
     @staticmethod
     def uniform(kind: str, epsilon: float, arity: int) -> "NoiseSpec":

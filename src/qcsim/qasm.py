@@ -20,7 +20,7 @@ import math
 import re
 
 from .circuit import Circuit, Instruction, gate_app, measure
-from .gates import make_gate
+from .gates import GATE_SIGNATURES, make_gate
 
 LEX = "Lex"
 SYNTAX = "Syntax"
@@ -59,27 +59,13 @@ _VALUE_KINDS = {"ID": "an identifier", "INT": "an integer", "REAL": "a real numb
 # levels of unary minus and parentheses allowed in one parameter expression
 MAX_NESTING = 100
 
-# QASM name -> (package gate name, parameter count); u1/u2 are lowered below.
-_QASM_GATES = {
-    "id": ("I", 0),
-    "x": ("X", 0),
-    "y": ("Y", 0),
-    "z": ("Z", 0),
-    "h": ("H", 0),
-    "s": ("S", 0),
-    "sdg": ("Sdg", 0),
-    "t": ("T", 0),
-    "tdg": ("Tdg", 0),
-    "rx": ("RX", 1),
-    "ry": ("RY", 1),
-    "rz": ("RZ", 1),
-    "u3": ("U3", 3),
-    "u1": ("U3", 1),
-    "u2": ("U3", 2),
-    "cx": ("CX", 0),
-    "cz": ("CZ", 0),
-    "swap": ("SWAP", 0),
-}
+# QASM name -> (package gate name, parameter count): each library gate by
+# its lower-case name, and `id` for I, which is also the name it is emitted
+# under; u1 and u2 are QASM-only spellings of U3, lowered in gate_statement.
+_QASM_GATES = {("id" if gate == "I" else gate.lower()): (gate, nparams)
+               for gate, (_, nparams) in GATE_SIGNATURES.items()}
+_EMIT_NAMES = {gate: name for name, (gate, _) in _QASM_GATES.items()}
+_QASM_GATES.update(u1=("U3", 1), u2=("U3", 2))
 
 
 class _Parser:
@@ -358,10 +344,6 @@ class _Parser:
 def parse_qasm(source: str) -> Circuit:
     """Parse OpenQASM 2.0 text into a Circuit; raises ParseError on failure."""
     return _Parser(source).parse()
-
-
-# name mapping for emission; U3 stays u3 (u1/u2 are already lowered on parse)
-_EMIT_NAMES = {gate: name for name, (gate, _) in _QASM_GATES.items() if name not in ("u1", "u2")}
 
 
 def emit_qasm(circuit: Circuit) -> str:

@@ -14,7 +14,7 @@ from qcsim.circuit import (
     random_circuit,
 )
 from qcsim.gates import make_gate
-from qcsim.noise import NoiseSpec, dephasing
+from qcsim.noise import NoiseChannel, NoiseSpec, amplitude_damping, dephasing
 from qcsim.qasm import emit_qasm
 
 
@@ -159,6 +159,19 @@ class TestNoisePrecedence:
 
 
 class TestJsonRoundTrip:
+    @pytest.mark.parametrize("channel", [
+        # named dephasing, but amplitude damping's Kraus operators
+        NoiseChannel("dephasing", 0.3, amplitude_damping(0.3).kraus_ops),
+        NoiseChannel("custom", 0.3, dephasing(0.3).kraus_ops),
+    ])
+    def test_channel_that_no_entry_names_is_not_written(self, channel):
+        c = Circuit(1, 0, [gate_app(make_gate("X"), (0,)),
+                           gate_app(make_gate("H"), (0,), noise=NoiseSpec({0: channel}))])
+        with pytest.raises(ValueError):
+            circuit_to_json(c)
+        with pytest.raises(ValueError):
+            circuit_to_json(Circuit(1, 0, c.instructions[:1], NoiseSpec({0: channel})))
+
     def test_round_trip_preserves_structure(self):
         base = random_circuit(4, 6, 7)
         instructions = list(base.instructions)

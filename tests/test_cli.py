@@ -119,6 +119,35 @@ class TestRun:
         report = json.loads(capsys.readouterr().out)
         assert report["final_state"]["kind"] == "density"
 
+    def test_override_replaces_all_of_its_instructions_noise(self, tmp_path, capsys):
+        """An override on slot 0 of a CX leaves its slot 1 without noise,
+        not with the global channel: the run equals a circuit JSON whose CX
+        carries noise on slot 0 only."""
+        qasm = tmp_path / "pair.qasm"
+        qasm.write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\nh q[1];\ncx q[0],q[1];\n")
+        channel = {"kind": "dephasing", "epsilon": 0.5}
+        configs = {"global": {"global": channel},
+                   "override": {"global": channel,
+                                "overrides": [{"instruction": 2, "slot": 0, **channel}]}}
+        out = {}
+        for name, doc in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            assert main(["run", str(qasm), "--repr", "density",
+                         "--noise-config", str(tmp_path / f"{name}.json")]) == 0
+            out[name] = capsys.readouterr().out
+        circuit_json = tmp_path / "pair.json"
+        circuit_json.write_text(json.dumps({
+            "num_qubits": 2, "global_noise": {"0": channel},
+            "instructions": [
+                {"kind": "gate", "name": "H", "targets": [0]},
+                {"kind": "gate", "name": "H", "targets": [1]},
+                {"kind": "gate", "name": "CX", "targets": [0, 1], "noise": {"0": channel}},
+            ]}))
+        assert main(["run", str(circuit_json), "--repr", "density"]) == 0
+        assert capsys.readouterr().out == out["override"]
+        rho = {name: json.loads(text)["final_state"]["matrix"] for name, text in out.items()}
+        assert rho["global"][0][2] == [0.0, 0.0]
+        assert rho["override"][0][2] == pytest.approx([0.25, 0.0], abs=1e-15)
 
     @pytest.mark.parametrize("doc", [
         [1, 2],
@@ -251,11 +280,13 @@ class TestRun:
         assert err.startswith("error: a 1000000000-qubit ") and err.count("\n") == 1
         assert len(err.encode()) < 200
 
-    # memory for `states` of the run's states: its export holds 1 on simple,
-    # 2 on depth and mps, 4 for a density matrix on simple and 5 on depth
+    # memory for `states` of the run's states: a run holds 3 on simple and
+    # depth (a step's state and its two temporaries) and its export 2 on mps,
+    # 4 for a density matrix on simple and 5 on depth
     @pytest.mark.parametrize("engine, repr_, states, code", [
-        ("simple", "wave", 1.5, 0), ("depth", "wave", 1.5, 2), ("mps", "wave", 1.5, 2),
-        ("depth", "wave", 2.5, 0), ("mps", "wave", 2.5, 0),
+        ("simple", "wave", 2.5, 2), ("simple", "wave", 3.5, 0), ("depth", "wave", 1.5, 2),
+        ("mps", "wave", 1.5, 2), ("depth", "wave", 2.5, 2), ("depth", "wave", 3.5, 0),
+        ("mps", "wave", 2.5, 0),
         ("simple", "density", 3.5, 2), ("simple", "density", 4.5, 0),
         ("depth", "density", 4.5, 2), ("depth", "density", 5.5, 0),
     ])

@@ -301,10 +301,13 @@ def _unordered_circuit(n):
     ("depth", "density", "unordered", 9),
 ])
 def test_check_run_counts_what_the_export_holds(engine, representation, kind, n, monkeypatch):
-    """The states that `_check_run` counts for `run` are those the backend
-    holds plus the tracemalloc peak of its export, in units of one state,
-    rounded up: the reordered copy of `depth` and of a routed `mps` chain,
-    and the three matrices of a density export's hermitize and checks."""
+    """The states that `_check_run` counts for `run` are the larger of two
+    peaks, in units of one state, rounded up: the tracemalloc peak of the
+    run's steps, where `simple` and `depth` hold `apply_local`'s two
+    temporaries besides the state, and the states the backend holds plus
+    the tracemalloc peak of its export: the reordered copy of `depth` and
+    of a routed `mps` chain, and the three matrices of a density export's
+    hermitize and checks."""
     circuit = (_routed_circuit(np.random.default_rng(3), n) if kind == "routed" else
                _unordered_circuit(n) if kind == "unordered" else random_circuit(n, 6, 1))
     config = RunConfig(engine=engine, representation=representation)
@@ -314,10 +317,16 @@ def test_check_run_counts_what_the_export_holds(engine, representation, kind, n,
     [(size, _, exponent)] = asked
     state_bytes = 16 << (n if representation == "wave" else 2 * n)
     counted = size * 2**exponent / state_bytes
-    backend = engines._backend(circuit, config)
-    for ins, op in engines._schedule(circuit, config)[0]:
-        if op is not None:
-            backend.apply(op, ins.targets)
+    steps = engines._schedule(circuit, config)[0]
+    tracemalloc.start()
+    try:
+        backend = engines._backend(circuit, config)
+        for ins, op in steps:
+            if op is not None:
+                backend.apply(op, ins.targets)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     if kind == "routed":
         assert backend.qubits != sorted(backend.qubits)
     arrays = backend.tensors if engine == "mps" else [g.state for g in backend._groups()]
@@ -328,7 +337,43 @@ def test_check_run_counts_what_the_export_holds(engine, representation, kind, n,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counted - 1 < (held + peak) / state_bytes <= counted + 0.05
+    if engine != "mps":
+        assert run_peak / state_bytes > 2.9  # the state and two temporaries
+    assert counted - 1 < max(run_peak, held + peak) / state_bytes <= counted + 0.05
+
+
+def _measured_ladder(n, measured):
+    """H on every qubit, then CX ladders with a measurement and a layer of
+    RY between each two: every measurement splits the shots."""
+    ins = [h(q) for q in range(n)]
+    for k in range(measured):
+        ins += [cx(q, q + 1) for q in range(n - 1)] + [measure(k, k)]
+        ins += [gate_app(make_gate("RY", [0.3 + q]), (q,)) for q in range(n)]
+    return Circuit(n, measured, ins + [cx(q, q + 1) for q in range(n - 1)])
+
+
+@pytest.mark.parametrize("engine", ["simple", "depth"])
+@pytest.mark.parametrize("measured, shots", [(1, 2), (3, 8)])
+def test_check_run_counts_what_the_shots_walk_holds(engine, measured, shots, monkeypatch):
+    """The states that `_check_run` counts for `run_shots` on a dense
+    engine, the walk's backends and the step in progress's two
+    temporaries, cover the walk's tracemalloc peak to within one state."""
+    n = 14
+    circuit, config = _measured_ladder(n, measured), RunConfig(engine=engine)
+    run_shots(circuit, config, shots)  # one-time allocations stay out of the peak
+    asked = []
+    monkeypatch.setattr(engines, "_check_memory", lambda *args: asked.append(args))
+    engines._check_run(circuit, config, shots)
+    [(size, _, exponent)] = asked
+    counted = size * 2**exponent / (16 << n)
+    assert counted == min(shots.bit_length() - 1, measured) + 4
+    tracemalloc.start()
+    try:
+        run_shots(circuit, config, shots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted - 1 < peak / (16 << n) <= counted + 0.05
 
 
 def _assert_same_run(result, oracle):

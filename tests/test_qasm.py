@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qcsim.circuit import Circuit, depth, gate_app, measure, random_circuit
-from qcsim.gates import make_gate
+from qcsim import qasm
+from qcsim.gates import GATE_SIGNATURES, make_gate
 from qcsim.qasm import MAX_NESTING, ParseError, emit_qasm, parse_qasm
 
 BELL = """OPENQASM 2.0;
@@ -277,3 +278,37 @@ class TestEmit:
             assert a.gate.name == b.gate.name
             assert a.gate.params == b.gate.params
             assert a.targets == b.targets
+
+
+class TestGateTable:
+    SPELLINGS = {"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "rx", "ry", "rz",
+                 "u1", "u2", "u3", "cx", "cz", "swap"}
+
+    @pytest.mark.parametrize("name", sorted(GATE_SIGNATURES))
+    def test_library_gate_emits_under_its_qasm_name_and_parses_back(self, name):
+        arity, nparams = GATE_SIGNATURES[name]
+        gate = make_gate(name, [0.25 * (k + 1) for k in range(nparams)])
+        targets = (2, 0)[:arity]
+        text = emit_qasm(Circuit(3, 0, [gate_app(gate, targets)]))
+        spelling = "id" if name == "I" else name.lower()
+        params = "(" + ",".join(map(repr, gate.params)) + ")" if nparams else ""
+        assert text.splitlines()[-1] == f"{spelling}{params} " + ",".join(
+            f"q[{t}]" for t in targets) + ";"
+        [ins] = parse_qasm(text).instructions
+        assert (ins.gate.name, ins.gate.params, ins.targets) == (name, gate.params, targets)
+
+    def test_u1_and_u2_lower_to_u3(self):
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[1];\nu1(0.5) q[0];\nu2(0.25,0.75) q[0];\n")
+        assert [(ins.gate.name, ins.gate.params) for ins in c.instructions] == [
+            ("U3", (0.0, 0.0, 0.5)), ("U3", (math.pi / 2, 0.25, 0.75))]
+        for spelling, wrong in (("u1", "(1,2)"), ("u2", "(1)")):
+            with pytest.raises(ParseError, match=f"gate '{spelling}' takes"):
+                parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{spelling}{wrong} q[0];\n")
+
+    @pytest.mark.parametrize("spelling", ["i", "u", "U3", "X", "cnot"])
+    def test_other_spellings_are_unsupported(self, spelling):
+        with pytest.raises(ParseError, match=f"unsupported gate '{spelling}'"):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{spelling} q[0];\n")
+
+    def test_spellings_are_pinned(self):
+        assert set(qasm._QASM_GATES) == self.SPELLINGS

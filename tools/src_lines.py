@@ -3,16 +3,20 @@
     python tools/src_lines.py
 
 It prints the two totals, then each module's all-line and code-line
-counts, one module a line. A code line holds at least one token that is not a comment, and is not
-part of a docstring (the string literal that opens a module, class or
-function body, found with the ast module). Blank lines, comment lines and
-docstring lines are not code lines.
+counts, one module a line. A code line holds at least one token that is
+not a comment, and is not part of a docstring (the string literal that
+opens a module, class or function body, found with the ast module).
+Blank lines, comment lines and docstring lines are not code lines. If the
+reader closes the pipe early (`| head`), it exits with status 1 and no
+traceback.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -40,14 +44,25 @@ def count(text: str) -> tuple:
     return len(text.splitlines()), len(code - _docstring_lines(ast.parse(text)))
 
 
-def main() -> None:
+def main() -> int:
     paths = sorted(SRC.rglob("*.py"))
     counts = [count(path.read_text(encoding="utf-8")) for path in paths]
-    print(f"all lines: {sum(c[0] for c in counts)}")
-    print(f"code lines: {sum(c[1] for c in counts)}")
-    for path, (lines, code) in zip(paths, counts):
-        print(f"{path.relative_to(SRC)}: {lines} all, {code} code")
+    report = [f"all lines: {sum(c[0] for c in counts)}\n",
+              f"code lines: {sum(c[1] for c in counts)}\n"]
+    report += [f"{path.relative_to(SRC)}: {lines} all, {code} code\n"
+               for path, (lines, code) in zip(paths, counts)]
+    try:
+        sys.stdout.writelines(report)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone (`| head`): what is left in stdout's buffer
+        # goes to devnull at exit, not to a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

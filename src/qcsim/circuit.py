@@ -227,6 +227,8 @@ def _instruction_to_dict(ins: Instruction) -> dict:
 def _instruction_from_dict(entry: dict) -> Instruction:
     if entry["kind"] == MEASURE:
         return measure(entry["qubit"], entry["clbit"])
+    if entry["kind"] != GATE_APP:
+        return Instruction(entry["kind"])  # raises: Instruction refuses an unknown kind
     condition = tuple(entry["condition"]) if "condition" in entry else None
     noise = NoiseSpec.from_dict(entry["noise"]) if "noise" in entry else None
     return gate_app(

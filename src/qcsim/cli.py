@@ -58,11 +58,16 @@ def _load_circuit(path: str) -> Circuit:
         try:
             return circuit_from_json(text)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise SystemExitError(EXIT_INPUT_ERROR, f"{path}: {exc}")
+            raise SystemExitError(EXIT_INPUT_ERROR, f"{path}: {_reason(exc)}")
     try:
         return parse_qasm(text)
     except ParseError as exc:
         raise SystemExitError(EXIT_INPUT_ERROR, f"{path}:{exc}")
+
+
+def _reason(exc: Exception) -> str:
+    """The message of an input error; a KeyError's names the missing key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 class SystemExitError(Exception):
@@ -99,7 +104,7 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
             instructions[index] = replace(instructions[index], noise=NoiseSpec(slots))
         return circuit.with_instructions(instructions)
     except (KeyError, ValueError, TypeError) as exc:
-        raise SystemExitError(EXIT_CONFIG_ERROR, f"invalid noise config: {exc}")
+        raise SystemExitError(EXIT_CONFIG_ERROR, f"invalid noise config: {_reason(exc)}")
 
 
 # Amplitudes (or matrix entries) per block of the state's JSON text: the

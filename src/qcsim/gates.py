@@ -1,12 +1,24 @@
-"""Standard gate library: named unitaries and the axis-local kernel applying them.
+"""Standard gate library: the gate tables, the Liouville builder and the
+axis-local kernel applying them.
+
+Two tables hold the library. `_FIXED_GATES` has each fixed gate, whose
+arity comes from the size of its matrix; `_ROTATIONS` has each rotation's
+matrix builder and its number of angles. `GATE_SIGNATURES` is derived
+from the two, fixed gates first.
 
 Two-qubit gate matrices are indexed with the first target as the more
 significant local bit, so ``CX`` with targets (control, target) uses the
 textbook matrix with basis order |control target>.
+
+Every superoperator comes from one builder, `liouville`: a gate's step on a
+density matrix applies `liouville((U,))` (`step_operator`), and a noise
+channel's step applies `liouville` of its Kraus operators
+(`noise.NoiseChannel`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,40 +28,6 @@ from .state import bit_axes
 UNITARY_ATOL = 1e-12
 
 _SQ2 = 1.0 / np.sqrt(2.0)
-
-_FIXED_1Q = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128),
-    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    "Sdg": np.array([[1, 0], [0, -1j]], dtype=np.complex128),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128),
-    "Tdg": np.array([[1, 0], [0, np.exp(-1j * np.pi / 4)]], dtype=np.complex128),
-}
-
-_FIXED_2Q = {
-    "CX": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=np.complex128,
-    ),
-    "CZ": np.diag([1, 1, 1, -1]).astype(np.complex128),
-    "SWAP": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-        dtype=np.complex128,
-    ),
-}
-
-# name -> (arity, number of angle parameters)
-GATE_SIGNATURES = {
-    **{name: (1, 0) for name in _FIXED_1Q},
-    **{name: (2, 0) for name in _FIXED_2Q},
-    "RX": (1, 1),
-    "RY": (1, 1),
-    "RZ": (1, 1),
-    "U3": (1, 3),
-}
 
 
 @dataclass(frozen=True)
@@ -101,11 +79,29 @@ def _u3(theta, phi, lam):
     )
 
 
-_ROTATIONS = {"RX": _rx, "RY": _ry, "RZ": _rz, "U3": _u3}
+# name -> (matrix builder, number of angle parameters)
+_ROTATIONS = {"RX": (_rx, 1), "RY": (_ry, 1), "RZ": (_rz, 1), "U3": (_u3, 3)}
 
-# each fixed gate is built, and its unitarity checked, once
-_FIXED_GATES = {name: Gate(name, GATE_SIGNATURES[name][0], (), mat)
-                for name, mat in {**_FIXED_1Q, **_FIXED_2Q}.items()}
+# each fixed gate is built, and its unitarity checked, once; a 2^k x 2^k
+# matrix acts on k qubits
+_FIXED_GATES = {name: Gate(name, len(mat).bit_length() - 1, (), mat) for name, mat in {
+    "I": np.eye(2),
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "H": [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
+    "S": [[1, 0], [0, 1j]],
+    "Sdg": [[1, 0], [0, -1j]],
+    "T": [[1, 0], [0, np.exp(1j * np.pi / 4)]],
+    "Tdg": [[1, 0], [0, np.exp(-1j * np.pi / 4)]],
+    "CX": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    "CZ": np.diag([1, 1, 1, -1]),
+    "SWAP": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+}.items()}
+
+# name -> (arity, number of angle parameters)
+GATE_SIGNATURES = {**{name: (gate.arity, 0) for name, gate in _FIXED_GATES.items()},
+                   **{name: (1, nparams) for name, (_, nparams) in _ROTATIONS.items()}}
 
 
 def make_gate(name: str, params=()) -> Gate:
@@ -118,12 +114,12 @@ def make_gate(name: str, params=()) -> Gate:
         raise ValueError(f"unknown gate {name!r}")
     arity, nparams = GATE_SIGNATURES[name]
     if len(params) != nparams:
-        raise ValueError(
-            f"gate {name} takes {nparams} parameter(s), got {len(params)}"
-        )
+        raise ValueError(f"gate {name} takes {nparams} parameter(s), got {len(params)}")
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"gate {name}: parameter is not a finite number")
     if name in _FIXED_GATES:
         return _FIXED_GATES[name]
-    return Gate(name, arity, params, _ROTATIONS[name](*params))
+    return Gate(name, arity, params, _ROTATIONS[name][0](*params))
 
 
 def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
@@ -161,12 +157,18 @@ def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
     return apply_local(state, op, bit_axes(n, targets, state.ndim))
 
 
+def liouville(ops) -> np.ndarray:
+    """The superoperator sum_k E_k (x) conj(E_k) of the operators `ops`, on
+    their row bits, then their column bits: it takes vec(rho) to
+    vec(sum_k E_k rho E_k^+)."""
+    # kron(E, conj(E)) without np.kron's per-call overhead; a set of one
+    # operator is that one product, zeros keeping their signs
+    terms = [(op[:, None, :, None] * op.conj()[None, :, None, :]).reshape(len(op) ** 2, -1)
+             for op in ops]
+    return sum(terms[1:], terms[0])
+
+
 def step_operator(gate: Gate, density: bool) -> np.ndarray:
-    """The operator that a step of `gate` applies: U on a wave state, and on
-    a density matrix the Liouville superoperator U (x) conj(U) on the
-    targets' row bits, then their column bits."""
-    u = gate.matrix
-    if not density:
-        return u
-    # kron(U, conj(U)), without np.kron's per-call overhead
-    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(len(u) ** 2, -1)
+    """The operator that a step of `gate` applies: U on a wave state, and
+    `liouville((U,))` on a density matrix."""
+    return liouville((gate.matrix,)) if density else gate.matrix

@@ -8,11 +8,14 @@ Three named channels are provided, each parametrized by a strength
                       = (1-eps) rho + eps (I/2 on the qubit) x (trace over it)
 * amplitude damping:  rho -> A0 rho A0^+ + A1 rho A1^+
 
-Dephasing and amplitude damping act on the target qubit before the gate;
-depolarizing acts after it. For two-qubit gates the per-slot channels
-combine as a tensor product. Every channel carries an explicit Kraus
-decomposition satisfying sum_k E_k^+ E_k = I, and its superoperator
-sum_k E_k (x) conj(E_k) on the qubit's row and column bits.
+One table, `_KRAUS`, maps each kind to the builder of its Kraus operators;
+`channel_from_kind` checks the kind and epsilon once and reads it, and the
+three factories call it. Dephasing and amplitude damping act on the target
+qubit before the gate; depolarizing acts after it. For two-qubit gates the
+per-slot channels combine as a tensor product. Every channel carries an
+explicit Kraus decomposition satisfying sum_k E_k^+ E_k = I, and its
+superoperator sum_k E_k (x) conj(E_k) on the qubit's row and column bits,
+built by `gates.liouville` as a gate's is.
 
 The engines apply each slot's channel as a 1-qubit step of its own, with
 that superoperator as its operator, before or after the gate's step as
@@ -26,14 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate, make_gate
+from .gates import Gate, liouville, make_gate
 
 COMPLETENESS_ATOL = 1e-12
 
 DEPHASING = "dephasing"
 DEPOLARIZING = "depolarizing"
 AMPLITUDE_DAMPING = "amplitude_damping"
-NOISE_KINDS = (DEPHASING, DEPOLARIZING, AMPLITUDE_DAMPING)
 
 _PAULI_X, _PAULI_Y, _PAULI_Z = (make_gate(name).matrix for name in ("X", "Y", "Z"))
 
@@ -56,9 +58,7 @@ class NoiseChannel:
         if not np.abs(total - np.eye(2)).max() <= COMPLETENESS_ATOL:
             raise ValueError("Kraus operators do not satisfy sum E_k^+ E_k = I")
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(
-            self, "superoperator", sum(np.kron(op, op.conj()) for op in ops)
-        )
+        object.__setattr__(self, "superoperator", liouville(ops))
 
     @property
     def after_gate(self) -> bool:
@@ -74,14 +74,27 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
+# kind -> builder of its 2x2 Kraus operators at strength eps
+_KRAUS = {
+    DEPHASING: lambda eps: (np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * _PAULI_Z),
+    DEPOLARIZING: lambda eps: (np.sqrt(1 - 3 * eps / 4) * np.eye(2),
+                               *(np.sqrt(eps / 4) * p for p in (_PAULI_X, _PAULI_Y, _PAULI_Z))),
+    AMPLITUDE_DAMPING: lambda eps: ([[1, 0], [0, np.sqrt(1 - eps)]], [[0, np.sqrt(eps)], [0, 0]]),
+}
+NOISE_KINDS = tuple(_KRAUS)
+
+
+def channel_from_kind(kind: str, epsilon: float) -> NoiseChannel:
+    """The channel of `kind` at strength `epsilon`, from its `_KRAUS` entry."""
+    if kind not in _KRAUS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    _check_epsilon(epsilon)
+    return NoiseChannel(kind, epsilon, _KRAUS[kind](epsilon))
+
+
 def dephasing(epsilon: float) -> NoiseChannel:
     """Phase-flip channel: Kraus set {sqrt(1-eps) I, sqrt(eps) Z}."""
-    _check_epsilon(epsilon)
-    return NoiseChannel(
-        DEPHASING,
-        epsilon,
-        (np.sqrt(1 - epsilon) * np.eye(2), np.sqrt(epsilon) * _PAULI_Z),
-    )
+    return channel_from_kind(DEPHASING, epsilon)
 
 
 def depolarizing(epsilon: float) -> NoiseChannel:
@@ -91,34 +104,12 @@ def depolarizing(epsilon: float) -> NoiseChannel:
     stored here, so the completeness invariant is checkable like any other
     channel.
     """
-    _check_epsilon(epsilon)
-    return NoiseChannel(
-        DEPOLARIZING,
-        epsilon,
-        (
-            np.sqrt(1 - 3 * epsilon / 4) * np.eye(2),
-            np.sqrt(epsilon / 4) * _PAULI_X,
-            np.sqrt(epsilon / 4) * _PAULI_Y,
-            np.sqrt(epsilon / 4) * _PAULI_Z,
-        ),
-    )
+    return channel_from_kind(DEPOLARIZING, epsilon)
 
 
 def amplitude_damping(epsilon: float) -> NoiseChannel:
     """Energy decay |1> -> |0> with strength eps."""
-    _check_epsilon(epsilon)
-    a0 = np.array([[1, 0], [0, np.sqrt(1 - epsilon)]], dtype=np.complex128)
-    a1 = np.array([[0, np.sqrt(epsilon)], [0, 0]], dtype=np.complex128)
-    return NoiseChannel(AMPLITUDE_DAMPING, epsilon, (a0, a1))
-
-
-_FACTORIES = dict(zip(NOISE_KINDS, (dephasing, depolarizing, amplitude_damping)))
-
-
-def channel_from_kind(kind: str, epsilon: float) -> NoiseChannel:
-    if kind not in _FACTORIES:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return _FACTORIES[kind](epsilon)
+    return channel_from_kind(AMPLITUDE_DAMPING, epsilon)
 
 
 def channel_from_entry(entry) -> NoiseChannel:

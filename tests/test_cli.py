@@ -23,6 +23,45 @@ measure q -> c;
 """
 
 
+# (noise config, message): the message is pinned where qcsim words it, and
+# None where it is Python's own wording of a type error
+NOISE_CONFIG_ERRORS = [
+    ([1, 2], "the top level must be a JSON object"),
+    ({"global": 3}, None),
+    ({"global": {"kind": "dephasing", "epsilon": "x"}}, None),
+    ({"global": {"kind": "dephasing", "epsilon": None}}, None),
+    ({"overrides": [{"instruction": None, "slot": 0, "kind": "dephasing",
+                     "epsilon": 0.1}]}, None),
+    ({"overrides": [3]}, None),
+    ({"overrides": [{"instruction": 0, "slot": 1, "kind": "dephasing",
+                     "epsilon": 0.1}]},  # slot 1 of the 1-qubit h
+     "gate H has no target for noise slot 1"),
+    ({"overrides": [{"instruction": 1.9, "slot": 0, "kind": "dephasing",
+                     "epsilon": 0.1}]}, None),
+    ({"overrides": [{"instruction": 1, "slot": 0.5, "kind": "dephasing",
+                     "epsilon": 0.1}]}, None),
+    ({"overrides": [{"instruction": "1", "slot": 0, "kind": "dephasing",
+                     "epsilon": 0.1}]}, None),
+    # a JSON true is not a strength of 1
+    ({"global": {"kind": "dephasing", "epsilon": True}}, "epsilon must lie in [0, 1], got True"),
+    ({"overrides": [{"instruction": 0, "slot": 0, "kind": "dephasing", "epsilon": True}]},
+     "epsilon must lie in [0, 1], got True"),
+    ({"global": {"epsilon": 0.1}}, "missing key 'kind'"),
+    ({"overrides": [{"instruction": 4, "slot": 0, "kind": "dephasing", "epsilon": 0.1}]},
+     "override index 4 out of range"),
+    ({"overrides": [{"instruction": 2, "slot": 0, "kind": "dephasing", "epsilon": 0.1}]},
+     "override index 2 targets a non-gate instruction"),  # the first measurement
+]
+
+# The message of each bad input file whose wording is pinned.
+BAD_INPUT_MESSAGES = {
+    "missing_key.json": "missing key 'num_qubits'",
+    "reset.json": "unknown instruction kind 'reset'",
+    "infinite_angle.json": "gate RX: parameter is not a finite number",
+    "nan_angle.json": "gate RX: parameter is not a finite number",
+}
+
+
 @pytest.fixture
 def bell_path(tmp_path):
     path = tmp_path / "bell.qasm"
@@ -83,6 +122,11 @@ class TestRun:
     def test_negative_seed_exits_2(self, bell_path, extra, capsys):
         assert main(["run", bell_path, "--seed", "-1", *extra]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--shots", "5"]])
+    def test_nonpositive_max_depth_exits_2(self, bell_path, extra, capsys):
+        assert main(["run", bell_path, "--max-depth", "0", *extra]) == 2
+        assert capsys.readouterr().err == "error: max_depth must be >= 1\n"
 
     def test_bond_overflow_exits_2(self, bell_path, capsys):
         assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "1"]) == 2
@@ -149,34 +193,16 @@ class TestRun:
         assert rho["global"][0][2] == [0.0, 0.0]
         assert rho["override"][0][2] == pytest.approx([0.25, 0.0], abs=1e-15)
 
-    @pytest.mark.parametrize("doc", [
-        [1, 2],
-        {"global": 3},
-        {"global": {"kind": "dephasing", "epsilon": "x"}},
-        {"global": {"kind": "dephasing", "epsilon": None}},
-        {"overrides": [{"instruction": None, "slot": 0, "kind": "dephasing",
-                        "epsilon": 0.1}]},
-        {"overrides": [3]},
-        {"overrides": [{"instruction": 0, "slot": 1, "kind": "dephasing",
-                        "epsilon": 0.1}]},  # slot 1 of the 1-qubit h
-        {"overrides": [{"instruction": 1.9, "slot": 0, "kind": "dephasing",
-                        "epsilon": 0.1}]},
-        {"overrides": [{"instruction": 1, "slot": 0.5, "kind": "dephasing",
-                        "epsilon": 0.1}]},
-        {"overrides": [{"instruction": "1", "slot": 0, "kind": "dephasing",
-                        "epsilon": 0.1}]},
-        # a JSON true is not a strength of 1
-        {"global": {"kind": "dephasing", "epsilon": True}},
-        {"overrides": [{"instruction": 0, "slot": 0, "kind": "dephasing",
-                        "epsilon": True}]},
-    ])
-    def test_noise_config_type_errors_exit_2(self, bell_path, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc, message", NOISE_CONFIG_ERRORS,
+                             ids=[f"doc{i}" for i in range(len(NOISE_CONFIG_ERRORS))])
+    def test_noise_config_type_errors_exit_2(self, bell_path, tmp_path, capsys, doc, message):
         noise_path = tmp_path / "noise.json"
         noise_path.write_text(json.dumps(doc))
         code = main(["run", bell_path, "--repr", "density", "--noise-config", str(noise_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid noise config: ") and err.count("\n") == 1
+        assert message is None or err == f"error: invalid noise config: {message}\n"
 
     @pytest.mark.parametrize("name, data", [
         ("latin1.qasm", b"OPENQASM 2.0;\nqreg q[1];\nh q[0]; // \xff\n"),
@@ -224,6 +250,15 @@ class TestRun:
         pytest.param("parentheses.qasm", b"OPENQASM 2.0;\nqreg q[1];\nrx("
                      + b"(" * 3000 + b"1" + b")" * 3000 + b") q[0];\n", id="parentheses.qasm"),
         pytest.param("nested.json", b"[" * 200_000, id="nested.json"),
+        ("missing_key.json", b'{"instructions": []}'),
+        # an unknown kind is refused, not run as a gate
+        ("reset.json", b'{"num_qubits": 1, "instructions": [{"kind": "reset", "name": "X",'
+                       b' "targets": [0]}]}'),
+        # JSON's reader takes Infinity and NaN; a gate refuses them
+        ("infinite_angle.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate",'
+                                b' "name": "RX", "params": [Infinity], "targets": [0]}]}'),
+        ("nan_angle.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate",'
+                           b' "name": "RX", "params": [NaN], "targets": [0]}]}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name
@@ -231,6 +266,8 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        if name in BAD_INPUT_MESSAGES:
+            assert err == f"error: {path}: {BAD_INPUT_MESSAGES[name]}\n"
 
     # (qubits, arguments): 70 qubits, then registers whose byte counts have
     # more digits than Python converts to text (20,000 as a vector, 7,200 as

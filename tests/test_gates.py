@@ -7,6 +7,7 @@ from qcsim.gates import (
     UNITARY_ATOL,
     Gate,
     apply_on_qubits,
+    liouville,
     make_gate,
     step_operator,
 )
@@ -79,6 +80,41 @@ def test_wrong_param_count_rejected():
         make_gate("RX", [])
     with pytest.raises(ValueError):
         make_gate("H", [0.1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, params", [
+    ("RX", [np.inf]), ("RY", [np.nan]), ("RZ", [-np.inf]), ("U3", [0.5, np.nan, 0.5]),
+])
+def test_non_finite_parameters_are_refused_before_the_matrix(name, params):
+    # warnings are errors here: no matrix of non-finite angles is built
+    with pytest.raises(ValueError) as exc:
+        make_gate(name, params)
+    assert str(exc.value) == f"gate {name}: parameter is not a finite number"
+
+
+def test_signatures_are_pinned():
+    # fixed gates, then rotations, each with (arity, number of angles)
+    assert list(GATE_SIGNATURES.items()) == [
+        ("I", (1, 0)), ("X", (1, 0)), ("Y", (1, 0)), ("Z", (1, 0)), ("H", (1, 0)),
+        ("S", (1, 0)), ("Sdg", (1, 0)), ("T", (1, 0)), ("Tdg", (1, 0)),
+        ("CX", (2, 0)), ("CZ", (2, 0)), ("SWAP", (2, 0)),
+        ("RX", (1, 1)), ("RY", (1, 1)), ("RZ", (1, 1)), ("U3", (1, 3)),
+    ]
+
+
+def test_liouville_is_the_sum_of_krons():
+    rng = np.random.default_rng(3)
+    for d in (2, 4):
+        ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        expected = sum(np.kron(op, op.conj()) for op in ops)
+        assert np.abs(liouville(ops) - expected).max() < 1e-12
+        # one operator is its one product, the signs of its zeros kept
+        assert liouville(ops[:1]).tobytes() == np.kron(ops[0], ops[0].conj()).tobytes()
+    for name, (_, nparams) in GATE_SIGNATURES.items():
+        u = make_gate(name, [0.3] * nparams).matrix
+        op = step_operator(make_gate(name, [0.3] * nparams), True)
+        assert op.tobytes() == np.kron(u, u.conj()).tobytes(), name
 
 
 def test_fixed_gates_are_built_once():

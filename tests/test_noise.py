@@ -16,9 +16,11 @@ from qcsim.engines import DenseGroups, RunConfig, run
 from qcsim.gates import apply_on_qubits, make_gate, step_operator
 from qcsim.noise import (
     COMPLETENESS_ATOL,
+    NOISE_KINDS,
     NoiseChannel,
     NoiseSpec,
     amplitude_damping,
+    channel_from_kind,
     check_slots,
     dephasing,
     depolarizing,
@@ -86,6 +88,37 @@ class TestChannelConstruction:
     def test_bad_slot_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec({2: dephasing(0.1)})
+
+    def test_factories_read_the_kraus_table(self):
+        assert NOISE_KINDS == ("dephasing", "depolarizing", "amplitude_damping")
+        for kind, factory in zip(NOISE_KINDS, (dephasing, depolarizing, amplitude_damping)):
+            for eps in (0.0, 0.3, 1.0):
+                made, read = factory(eps), channel_from_kind(kind, eps)
+                assert (made.kind, made.epsilon) == (kind, eps)
+                assert all(np.array_equal(a, b) for a, b in zip(made.kraus_ops, read.kraus_ops))
+        with pytest.raises(ValueError, match="unknown noise kind 'custom'"):
+            channel_from_kind("custom", 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [-0.1, 1.1, np.nan, -np.inf])
+    def test_epsilon_checked_before_the_kraus_operators(self, eps):
+        for kind in NOISE_KINDS:
+            with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+                channel_from_kind(kind, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    def test_superoperator_is_the_liouville_form(self, eps):
+        rng = np.random.default_rng(4)
+        rho = random_density(1, rng).matrix
+        direct = NoiseChannel("custom", eps, amplitude_damping(eps).kraus_ops[::-1])
+        for ch in all_channels(eps) + [direct]:
+            out = (ch.superoperator @ rho.reshape(-1)).reshape(2, 2)
+            expected = sum(op @ rho @ op.conj().T for op in ch.kraus_ops)
+            assert np.abs(out - expected).max() < 1e-15
+            # the sum of krons that a channel's superoperator has always
+            # been, zeros and their signs included
+            old = sum(np.kron(op, op.conj()) for op in ch.kraus_ops)
+            assert ch.superoperator.tobytes() == old.tobytes()
 
 
 class TestDephasing:

@@ -227,6 +227,27 @@ class TestParseErrors:
          (2, 8, 'Syntax', "expected an integer, found real number '1.5'")),
         ('OPENQASM 2.0;\nqreg q[1];\nrx(',
          (3, 4, 'Syntax', "expected a parameter expression, found 'end of input'")),
+        # semantic errors, each at the token that shows it
+        ('OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\n',
+         (2, 9, 'Semantic', 'unsupported include "other.inc"')),
+        ('OPENQASM 2.0;\nqreg q[0];\n',
+         (2, 8, 'Semantic', 'register size must be >= 1')),
+        ('OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q -> c[0];\n',
+         (4, 18, 'Semantic', 'measure mixes whole-register and indexed operands')),
+        ('OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nmeasure q -> c;\n',
+         (4, 15, 'Semantic', 'register sizes differ in whole-register measure')),
+        ('OPENQASM 2.0;\nqreg q[1];\nif (c == 1) x q[0];\n',
+         (3, 5, 'Semantic', "undeclared classical register 'c'")),
+        ('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == 1) measure q[0] -> c[0];\n',
+         (4, 13, 'Semantic', 'only gate applications can be conditioned')),
+        ('OPENQASM 2.0;\nqreg q[2];\ncx q[0];\n',
+         (3, 8, 'Semantic', "gate 'cx' expects 2 operand(s), got 1")),
+        ('OPENQASM 2.0;\nqreg a[2];\nqreg b[3];\ncx a,b;\n',
+         (4, 7, 'Semantic', 'broadcast registers must have equal sizes')),
+        ('OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];\n',
+         (3, 13, 'Semantic', 'gate operands must be distinct qubits')),
+        ('OPENQASM 2.0;\nqreg q[1];\nrx(pi/(1-1)) q[0];\n',
+         (3, 12, 'Semantic', 'division by zero in parameter expression')),
         # one level past MAX_NESTING, at the token that opens it
         pytest.param('OPENQASM 2.0;\nqreg q[1];\nrx(' + '-' * 101 + '1) q[0];\n',
                      (3, 104, 'Syntax', 'parameter expression nested deeper than 100 levels'),

@@ -109,12 +109,17 @@ def make_gate(name: str, params=()) -> Gate:
 
     A fixed gate is one shared `Gate` per name.
     """
-    params = tuple(float(p) for p in params)
+    try:
+        params = tuple(float(p) for p in params)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"gate {name}: parameter is not a finite number") from None
     if name not in GATE_SIGNATURES:
         raise ValueError(f"unknown gate {name!r}")
     arity, nparams = GATE_SIGNATURES[name]
     if len(params) != nparams:
-        raise ValueError(f"gate {name} takes {nparams} parameter(s), got {len(params)}")
+        raise ValueError(
+            f"gate {name} takes {nparams} parameter(s), got {len(params)}"
+        )
     if not all(map(math.isfinite, params)):
         raise ValueError(f"gate {name}: parameter is not a finite number")
     if name in _FIXED_GATES:

@@ -59,6 +59,7 @@ BAD_INPUT_MESSAGES = {
     "reset.json": "unknown instruction kind 'reset'",
     "infinite_angle.json": "gate RX: parameter is not a finite number",
     "nan_angle.json": "gate RX: parameter is not a finite number",
+    "huge_angle.json": "gate RX: parameter is not a finite number",
 }
 
 
@@ -259,6 +260,10 @@ class TestRun:
                                 b' "name": "RX", "params": [Infinity], "targets": [0]}]}'),
         ("nan_angle.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate",'
                            b' "name": "RX", "params": [NaN], "targets": [0]}]}'),
+        # and reads an integer of any size, too large for a float
+        pytest.param("huge_angle.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate",'
+                     b' "name": "RX", "params": [' + b"9" * 400 + b'], "targets": [0]}]}',
+                     id="huge_angle.json"),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name

@@ -85,6 +85,7 @@ def test_wrong_param_count_rejected():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, params", [
     ("RX", [np.inf]), ("RY", [np.nan]), ("RZ", [-np.inf]), ("U3", [0.5, np.nan, 0.5]),
+    ("RX", [10**400]),  # an integer too large for a float
 ])
 def test_non_finite_parameters_are_refused_before_the_matrix(name, params):
     # warnings are errors here: no matrix of non-finite angles is built

@@ -1,16 +1,17 @@
 """Check that the CLI of this checkout writes the same bytes as that of REV.
 
-    python tools/same_bytes.py REV [--seeds 1 2]
+    python tools/same_bytes.py REV
 
 It exports REV's `src/` with `git archive` into a temporary directory, and
 writes the inputs of the benchmark workloads `dense` and `mps-shots` at
-each seed with `perfbench/workloads.py`. Every timed and aux invocation
+seeds 1 and 2 with `perfbench/workloads.py`. Every timed and aux invocation
 of the two workloads then runs on both trees, each in a fresh interpreter
-with one BLAS thread. So does density-matrix `--shots` on `teleport.qasm`
-on the `simple` and `depth` engines under each of the `dense` workload's
-noise configs, because no workload invocation collapses a density matrix
-(the `overrides` config names instructions past the end of `teleport.qasm`,
-so that run compares an error line and exit code).
+with one BLAS thread. So does density-matrix `--shots` on the `simple` and
+`depth` engines, because no workload invocation collapses a density matrix:
+on the `dense` workload's 7-qubit circuit with every qubit measured at the
+end, under each of its noise configs, and on `teleport.qasm` under each
+config without overrides (the overrides name instructions of the 7-qubit
+circuit, past the end of `teleport.qasm`).
 For each invocation the exit code, stdout, stderr and the `--out` file are
 compared. Each difference is printed, then the count; the status is 1 if
 there is any difference, else 0.
@@ -32,6 +33,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 WORKLOADS = ("dense", "mps-shots")
+SEEDS = (1, 2)
 FIELDS = ("exit code", "stdout", "stderr", "--out file")  # what `outcome` returns
 # one fresh interpreter per invocation: qcsim imported from the tree given
 # first, then the CLI's main called with the rest of the arguments
@@ -50,16 +52,20 @@ def export_src(rev: str, dest: Path) -> Path:
 
 def invocations(seed: int, inputs: Path) -> list:
     """The argument lists to compare at `seed`; writes their inputs to `inputs`."""
-    argvs, configs = [], []
+    argvs, circuits, configs = [], {}, {}
     for workload in WORKLOADS:
-        _, part_configs, timed, aux = workloads.write_inputs(workload, seed, inputs)
+        part_circuits, part_configs, timed, aux = workloads.write_inputs(workload, seed, inputs)
         argvs += [inv["argv"] for inv in timed + aux]
-        configs += part_configs
-    for config in configs:
-        for engine in ("simple", "depth"):
-            argvs.append(["run", "teleport.qasm", "--repr", "density", "--engine", engine,
-                          "--noise-config", f"{config}.json", "--shots", "200",
-                          "--seed", str(seed), "--out", f"teleport-{config}-{engine}.json"])
+        circuits.update(part_circuits)
+        configs.update(part_configs)
+    measured = workloads.measure_all(circuits["random7"])
+    (inputs / "random7-measured.qasm").write_text(workloads.to_qasm(measured), encoding="utf-8")
+    for config, doc in configs.items():
+        for name in ["random7-measured"] + ([] if "overrides" in doc else ["teleport"]):
+            for engine in ("simple", "depth"):
+                argvs.append(["run", f"{name}.qasm", "--repr", "density", "--engine", engine,
+                              "--noise-config", f"{config}.json", "--shots", "200",
+                              "--seed", str(seed), "--out", f"{name}-{config}-{engine}.json"])
     return argvs
 
 
@@ -76,13 +82,12 @@ def outcome(src: Path, argv: list, workdir: Path) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare against")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args(argv)
     scratch = Path(tempfile.mkdtemp(prefix="same-bytes-"))
     try:
         trees = {"this checkout": ROOT / "src", args.rev: export_src(args.rev, scratch / "rev")}
         differences = runs = 0
-        for seed in args.seeds:
+        for seed in SEEDS:
             inputs = scratch / f"inputs-{seed}"
             argvs = invocations(seed, inputs)
             workdirs = {name: shutil.copytree(inputs, scratch / f"{i}-{seed}")

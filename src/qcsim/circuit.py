@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gates import GATE_SIGNATURES, Gate, make_gate
-from .noise import NoiseSpec, check_slots
+from .noise import NoiseSpec, check_slots, json_object
 
 GATE_APP = "gate"
 MEASURE = "measure"
@@ -30,6 +30,14 @@ MEASURE = "measure"
 # Sampling pool for the random-circuit single-qubit layers; rotations draw
 # an angle uniformly from [0, 2*pi).
 RANDOM_1Q_POOL = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ")
+
+
+def as_index(value) -> int:
+    """`value` as an int, by `operator.index`; a bool is refused, as a
+    JSON true or false is no count, qubit or bit."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value} is not an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,7 @@ class Instruction:
         if self.kind == GATE_APP:
             if self.gate is None:
                 raise ValueError("gate application needs a gate")
-            targets = tuple(operator.index(t) for t in self.targets)
+            targets = tuple(as_index(t) for t in self.targets)
             if len(set(targets)) != len(targets):
                 raise ValueError("targets must be distinct")
             if len(targets) != self.gate.arity:
@@ -56,15 +64,15 @@ class Instruction:
             object.__setattr__(self, "targets", targets)
             check_slots(self.gate, self.noise)
             if self.condition is not None:
-                bit, value = map(operator.index, self.condition)
+                bit, value = map(as_index, self.condition)
                 if value not in (0, 1):
                     raise ValueError("condition value must be 0 or 1")
                 object.__setattr__(self, "condition", (bit, value))
         elif self.kind == MEASURE:
             if self.qubit is None or self.classical_bit is None:
                 raise ValueError("measurement needs a qubit and a classical bit")
-            object.__setattr__(self, "qubit", operator.index(self.qubit))
-            object.__setattr__(self, "classical_bit", operator.index(self.classical_bit))
+            object.__setattr__(self, "qubit", as_index(self.qubit))
+            object.__setattr__(self, "classical_bit", as_index(self.classical_bit))
         else:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
 
@@ -98,7 +106,7 @@ class Circuit:
 
     def __post_init__(self):
         for name in ("num_qubits", "num_clbits"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, as_index(getattr(self, name)))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if self.num_clbits < 0:
@@ -224,13 +232,15 @@ def _instruction_to_dict(ins: Instruction) -> dict:
     return entry
 
 
-def _instruction_from_dict(entry: dict) -> Instruction:
-    if entry["kind"] == MEASURE:
+def _instruction_from_dict(index: int, entry) -> Instruction:
+    """The instruction of entry `index` of a circuit JSON's instructions."""
+    name = f"instruction {index}"
+    if json_object(entry, name)["kind"] == MEASURE:
         return measure(entry["qubit"], entry["clbit"])
     if entry["kind"] != GATE_APP:
         return Instruction(entry["kind"])  # raises: Instruction refuses an unknown kind
     condition = tuple(entry["condition"]) if "condition" in entry else None
-    noise = NoiseSpec.from_dict(entry["noise"]) if "noise" in entry else None
+    noise = NoiseSpec.from_dict(entry["noise"], f"{name} noise") if "noise" in entry else None
     return gate_app(
         make_gate(entry["name"], entry.get("params", [])),
         entry["targets"],
@@ -251,17 +261,16 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("circuit JSON must be an object")
+    doc = json_object(json.loads(text), "the top level")
     instructions = doc.get("instructions", [])
     if not isinstance(instructions, list):
         raise ValueError("instructions must be a list")
     return Circuit(
         num_qubits=doc["num_qubits"],
         num_clbits=doc.get("num_clbits", 0),
-        instructions=tuple(_instruction_from_dict(e) for e in instructions),
+        instructions=tuple(_instruction_from_dict(i, e) for i, e in enumerate(instructions)),
         global_noise=(
-            NoiseSpec.from_dict(doc["global_noise"]) if "global_noise" in doc else None
+            NoiseSpec.from_dict(doc["global_noise"], "global_noise")
+            if "global_noise" in doc else None
         ),
     )

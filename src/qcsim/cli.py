@@ -9,6 +9,16 @@ Subcommands:
 Diagnostics go to stderr; data goes to stdout or --out. Exit codes:
 0 success, 1 input/parse error, 2 invalid configuration.
 
+Every subcommand leaves through one exit path, `main`. A `_cmd_*` function
+returns its output as text pieces that can be closed (`run` the generator
+of its report's text, the others a stream of their QASM or CSV text) and
+maps no error. `main` computes that output before any --out file is
+opened, so a failed command leaves no file; it turns a ValueError
+(ConfigError included) or a BondOverflowError into exit 2, and then writes
+the output under `closing`. The readers of the input files raise
+SystemExitError with their own prefix and exit code, and so does writing.
+Each failure is one `error:` line on stderr.
+
 `run` writes a state's JSON in blocks of about 1,024 entries. A state of
 at least 2 x _SPAN_MIN_ENTRIES entries is encoded by up to one process
 per usable CPU: forked children encode later spans of blocks into
@@ -25,8 +35,8 @@ is one `error:` line and exit 1, and no child outlives main().
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import operator
 import os
 import signal
 import sys
@@ -37,10 +47,10 @@ from dataclasses import replace
 import numpy as np
 
 from .bench import bench_depth_sweep, fidelity_csv, fidelity_sweep, timing_csv
-from .circuit import GATE_APP, Circuit, circuit_from_json, random_circuit
-from .engines import ENGINES, REPRESENTATIONS, ConfigError, RunConfig, run, run_shots
+from .circuit import GATE_APP, Circuit, as_index, circuit_from_json, random_circuit
+from .engines import ENGINES, REPRESENTATIONS, RunConfig, run, run_shots
 from .mps import BondOverflowError
-from .noise import NOISE_KINDS, NoiseSpec, channel_from_entry
+from .noise import NOISE_KINDS, NoiseSpec, channel_from_entry, json_object
 from .qasm import ParseError, emit_qasm, parse_qasm
 from .state import PureState
 
@@ -84,19 +94,20 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
     except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 decoding errors
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot read noise config: {exc}")
     try:
-        if not isinstance(doc, dict):
-            raise ValueError("the top level must be a JSON object")
-        if "global" in doc:
-            channel = channel_from_entry(doc["global"])
+        if "global" in json_object(doc, "the top level"):
+            channel = channel_from_entry(doc["global"], "global")
             circuit = circuit.with_global_noise(NoiseSpec({0: channel, 1: channel}))
         # an override replaces all of its instruction's noise: the slots of
         # that instruction's override entries, and no others
         instructions, overridden = list(circuit.instructions), {}
-        for entry in doc.get("overrides", []):
-            index = operator.index(entry["instruction"])
-            channel = channel_from_entry(entry)
+        overrides = doc.get("overrides", [])
+        if not isinstance(overrides, list):
+            raise ValueError("overrides must be a list")
+        for i, entry in enumerate(overrides):
+            index = as_index(json_object(entry, f"override {i}")["instruction"])
+            channel = channel_from_entry(entry, f"override {i}")
             slots = overridden.setdefault(index, {})
-            slots[operator.index(entry["slot"])] = channel
+            slots[as_index(entry["slot"])] = channel
             if not 0 <= index < len(instructions):
                 raise ValueError(f"override index {index} out of range")
             if instructions[index].kind != GATE_APP:
@@ -290,93 +301,69 @@ def _write_output(chunks, out_path):
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot write {out_path or 'to stdout'}: {exc}")
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     circuit = _load_circuit(args.circuit)
     if args.noise_config:
         circuit = _apply_noise_config(circuit, args.noise_config)
     if args.shots is not None and args.shots < 1:
-        raise SystemExitError(EXIT_CONFIG_ERROR, "--shots must be >= 1")
-    try:
-        config = RunConfig(
-            representation=args.repr,
-            engine=args.engine,
-            max_depth=args.max_depth,
-            mps_max_bond=args.mps_max_bond,
-            seed=args.seed,
-        )
-        if args.shots is None:
-            result = run(circuit, config)
-            state = result.final_state
-            if isinstance(state, PureState):
-                array, state_doc = state.amplitudes, {"kind": "wave", "amplitudes": _STATE_MARK}
-            else:
-                array, state_doc = state.matrix, {"kind": "density", "matrix": _STATE_MARK}
-            report = {
-                "num_qubits": circuit.num_qubits,
-                "final_state": state_doc,
-                "classical_bits": list(result.classical_bits),
-                "measurements": [
-                    {
-                        "qubit": r.qubit_index,
-                        "classical_bit": r.classical_bit,
-                        "outcome": r.outcome,
-                        "probability": r.probability_of_outcome,
-                    }
-                    for r in result.measurements
-                ],
-                "layers_executed": result.layers_executed,
+        raise ValueError("--shots must be >= 1")
+    config = RunConfig(
+        representation=args.repr,
+        engine=args.engine,
+        max_depth=args.max_depth,
+        mps_max_bond=args.mps_max_bond,
+        seed=args.seed,
+    )
+    if args.shots is not None:
+        report = {
+            "num_qubits": circuit.num_qubits,
+            "shots": args.shots,
+            "counts": run_shots(circuit, config, args.shots),
+        }
+        return _report_text(report)
+    result = run(circuit, config)
+    state = result.final_state
+    if isinstance(state, PureState):
+        array, state_doc = state.amplitudes, {"kind": "wave", "amplitudes": _STATE_MARK}
+    else:
+        array, state_doc = state.matrix, {"kind": "density", "matrix": _STATE_MARK}
+    report = {
+        "num_qubits": circuit.num_qubits,
+        "final_state": state_doc,
+        "classical_bits": list(result.classical_bits),
+        "measurements": [
+            {
+                "qubit": r.qubit_index,
+                "classical_bit": r.classical_bit,
+                "outcome": r.outcome,
+                "probability": r.probability_of_outcome,
             }
-            chunks = _report_text(report, array)
-        else:
-            counts = run_shots(circuit, config, args.shots)
-            report = {
-                "num_qubits": circuit.num_qubits,
-                "shots": args.shots,
-                "counts": dict(sorted(counts.items())),
-            }
-            chunks = _report_text(report)
-    except (ConfigError, BondOverflowError) as exc:
-        raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    with closing(chunks):  # reaps the state encoders if writing fails
-        _write_output(chunks, args.out)
-    return 0
+            for r in result.measurements
+        ],
+        "layers_executed": result.layers_executed,
+    }
+    return _report_text(report, array)
 
 
-def _cmd_random(args) -> int:
-    try:
-        circuit = random_circuit(args.qubits, args.depth, args.seed)
-    except ValueError as exc:
-        raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output([emit_qasm(circuit)], args.out)
-    return 0
+def _cmd_random(args) -> io.StringIO:
+    circuit = random_circuit(args.qubits, args.depth, args.seed)
+    return io.StringIO(emit_qasm(circuit))
 
 
-def _cmd_bench(args) -> int:
-    try:
-        depths = _parse_int_list(args.depths)
-        points = bench_depth_sweep(
-            args.qubits, depths, args.engine, repetitions=args.reps, seed=args.seed
-        )
-    except (ValueError, ConfigError) as exc:
-        raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output([timing_csv(points)], args.out)
-    return 0
+def _cmd_bench(args) -> io.StringIO:
+    depths = [int(part) for part in args.depths.split(",") if part != ""]
+    points = bench_depth_sweep(
+        args.qubits, depths, args.engine, repetitions=args.reps, seed=args.seed
+    )
+    return io.StringIO(timing_csv(points))
 
 
-def _cmd_noise_sweep(args) -> int:
-    try:
-        epsilons = [float(e) for e in args.epsilons.split(",") if e != ""]
-        points = fidelity_sweep(
-            args.qubits, args.depth, args.noise, epsilons, seed=args.seed
-        )
-    except (ValueError, ConfigError) as exc:
-        raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-    _write_output([fidelity_csv(points)], args.out)
-    return 0
-
-
-def _parse_int_list(text: str):
-    return [int(part) for part in text.split(",") if part != ""]
+def _cmd_noise_sweep(args) -> io.StringIO:
+    epsilons = [float(e) for e in args.epsilons.split(",") if e != ""]
+    points = fidelity_sweep(
+        args.qubits, args.depth, args.noise, epsilons, seed=args.seed
+    )
+    return io.StringIO(fidelity_csv(points))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,15 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--shots", type=int, default=None)
     p_run.add_argument("--max-depth", type=int, default=None)
     p_run.add_argument("--mps-max-bond", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_rand = sub.add_parser("random", help="generate a random circuit as QASM")
     p_rand.add_argument("--qubits", type=int, default=10)
     p_rand.add_argument("--depth", type=int, default=15)
-    p_rand.add_argument("--seed", type=int, default=0)
-    p_rand.add_argument("--out", default=None)
     p_rand.set_defaults(func=_cmd_random)
 
     p_bench = sub.add_parser("bench", help="depth timing sweep (CSV)")
@@ -409,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--qubits", type=int, default=10)
     p_bench.add_argument("--depths", default="5,10,15,20,25,30")
     p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_sweep = sub.add_parser("noise-sweep", help="fidelity-vs-epsilon sweep (CSV)")
@@ -420,20 +401,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--epsilons", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
     )
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_noise_sweep)
 
+    # every subcommand's last options, as its --help lists them
+    for p_cmd in sub.choices.values():
+        p_cmd.add_argument("--seed", type=int, default=0)
+        p_cmd.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            output = args.func(args)
+        except (ValueError, BondOverflowError) as exc:  # ConfigError included
+            raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
+        with closing(output):  # reaps run's state encoders if writing fails
+            _write_output(output, args.out)
     except SystemExitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ channel's step applies `liouville` of its Kraus operators
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,12 +109,16 @@ GATE_SIGNATURES = {**{name: (gate.arity, 0) for name, gate in _FIXED_GATES.items
 def make_gate(name: str, params=()) -> Gate:
     """Construct a gate by name; `params` are angles in radians.
 
-    A fixed gate is one shared `Gate` per name.
+    A fixed gate is one shared `Gate` per name. A parameter must be a real
+    number: a bool or a string is refused, not read as one.
     """
-    try:
-        params = tuple(float(p) for p in params)
-    except OverflowError:  # an integer too large for a float
-        raise ValueError(f"gate {name}: parameter is not a finite number") from None
+    for p in params:
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ValueError(f"gate {name}: parameter {p!r} is not a real number")
+        # NaN, an infinity, or an int too large for a float
+        if not (abs(p) <= sys.float_info.max if isinstance(p, int) else math.isfinite(p)):
+            raise ValueError(f"gate {name}: parameter is not a finite number")
+    params = tuple(map(float, params))
     if name not in GATE_SIGNATURES:
         raise ValueError(f"unknown gate {name!r}")
     arity, nparams = GATE_SIGNATURES[name]
@@ -120,8 +126,6 @@ def make_gate(name: str, params=()) -> Gate:
         raise ValueError(
             f"gate {name} takes {nparams} parameter(s), got {len(params)}"
         )
-    if not all(map(math.isfinite, params)):
-        raise ValueError(f"gate {name}: parameter is not a finite number")
     if name in _FIXED_GATES:
         return _FIXED_GATES[name]
     return Gate(name, arity, params, _ROTATIONS[name][0](*params))

@@ -112,9 +112,18 @@ def amplitude_damping(epsilon: float) -> NoiseChannel:
     return channel_from_kind(AMPLITUDE_DAMPING, epsilon)
 
 
-def channel_from_entry(entry) -> NoiseChannel:
+def json_object(value, name: str) -> dict:
+    """`value` if it is a JSON object; a ValueError naming it otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    return value
+
+
+def channel_from_entry(entry, name: str) -> NoiseChannel:
     """The channel of a noise entry, `{"kind": ..., "epsilon": ...}`: each
-    slot of circuit JSON's noise, and each entry of a noise config."""
+    slot of circuit JSON's noise, and each entry of a noise config. `name`
+    names the entry in errors."""
+    entry = json_object(entry, name)
     return channel_from_kind(entry["kind"], entry["epsilon"])
 
 
@@ -149,10 +158,10 @@ class NoiseSpec:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "NoiseSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"noise must be a JSON object, not {type(data).__name__}")
-        return NoiseSpec({int(slot): channel_from_entry(entry) for slot, entry in data.items()})
+    def from_dict(data, name: str) -> "NoiseSpec":
+        """The spec of a circuit JSON noise object; `name` names it in errors."""
+        return NoiseSpec({int(slot): channel_from_entry(entry, f"{name} slot {slot}")
+                          for slot, entry in json_object(data, name).items()})
 
     @staticmethod
     def uniform(kind: str, epsilon: float, arity: int) -> "NoiseSpec":

@@ -1,10 +1,12 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from qcsim.circuit import (
     Circuit,
+    Instruction,
     circuit_from_json,
     circuit_to_json,
     depth,
@@ -138,6 +140,42 @@ class TestValidation:
     def test_duplicate_targets(self):
         with pytest.raises(ValueError):
             gate_app(make_gate("CX"), (1, 1))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Instruction("gate"), "gate application needs a gate"),
+        (lambda: Instruction("measure", classical_bit=0),
+         "measurement needs a qubit and a classical bit"),
+        (lambda: gate_app(make_gate("X"), (0,), condition=(0, 2)),
+         "condition value must be 0 or 1"),
+        (lambda: Circuit(0), "num_qubits must be >= 1"),
+        (lambda: Circuit(1, -1), "num_clbits must be >= 0"),
+    ])
+    def test_invalid_instruction_or_circuit_rejected(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: Circuit(True),
+        lambda: Circuit(1, False),
+        lambda: gate_app(make_gate("X"), (False,)),
+        lambda: gate_app(make_gate("X"), (1,), condition=(True, 1)),
+        lambda: gate_app(make_gate("X"), (1,), condition=(0, True)),
+        lambda: measure(False, 0),
+        lambda: measure(0, True),
+    ])
+    def test_bool_is_not_an_index(self, build):
+        with pytest.raises(TypeError, match="(True|False) is not an integer"):
+            build()
+
+    def test_numpy_integers_are_indices(self):
+        i = np.int64
+        circuit = Circuit(i(2), i(1), [gate_app(make_gate("X"), (i(1),), condition=(i(0), i(1))),
+                                       measure(i(1), i(0))])
+        assert (circuit.num_qubits, circuit.num_clbits) == (2, 1)
+        gate, meas = circuit.instructions
+        assert gate.targets == (1,) and gate.condition == (0, 1)
+        assert all(type(v) is int for v in (*gate.targets, *gate.condition, meas.qubit,
+                                            meas.classical_bit, circuit.num_qubits))
 
 
 class TestNoisePrecedence:

@@ -9,6 +9,7 @@ import pytest
 
 from qcsim.bench import fidelity_csv, fidelity_sweep
 from qcsim import cli, engines
+from qcsim import state as st
 from qcsim.cli import _report_text, _write_output, main
 from qcsim.engines import RunConfig, run
 from qcsim.qasm import parse_qasm
@@ -26,13 +27,13 @@ measure q -> c;
 # (noise config, message): the message is pinned where qcsim words it, and
 # None where it is Python's own wording of a type error
 NOISE_CONFIG_ERRORS = [
-    ([1, 2], "the top level must be a JSON object"),
-    ({"global": 3}, None),
+    ([1, 2], "the top level is not a JSON object"),
+    ({"global": 3}, "global is not a JSON object"),
     ({"global": {"kind": "dephasing", "epsilon": "x"}}, None),
     ({"global": {"kind": "dephasing", "epsilon": None}}, None),
     ({"overrides": [{"instruction": None, "slot": 0, "kind": "dephasing",
                      "epsilon": 0.1}]}, None),
-    ({"overrides": [3]}, None),
+    ({"overrides": [3]}, "override 0 is not a JSON object"),
     ({"overrides": [{"instruction": 0, "slot": 1, "kind": "dephasing",
                      "epsilon": 0.1}]},  # slot 1 of the 1-qubit h
      "gate H has no target for noise slot 1"),
@@ -51,6 +52,14 @@ NOISE_CONFIG_ERRORS = [
      "override index 4 out of range"),
     ({"overrides": [{"instruction": 2, "slot": 0, "kind": "dephasing", "epsilon": 0.1}]},
      "override index 2 targets a non-gate instruction"),  # the first measurement
+    ({"overrides": {"a": 1}}, "overrides must be a list"),
+    ({"overrides": [{"instruction": 0, "slot": 0, "kind": "dephasing", "epsilon": 0.1}, 3]},
+     "override 1 is not a JSON object"),
+    # a JSON true or false is not an index: not instruction 1 (the cx), nor slot 0
+    ({"overrides": [{"instruction": True, "slot": 0, "kind": "dephasing", "epsilon": 0.1}]},
+     "True is not an integer"),
+    ({"overrides": [{"instruction": 0, "slot": False, "kind": "dephasing", "epsilon": 0.1}]},
+     "False is not an integer"),
 ]
 
 # The message of each bad input file whose wording is pinned.
@@ -60,6 +69,23 @@ BAD_INPUT_MESSAGES = {
     "infinite_angle.json": "gate RX: parameter is not a finite number",
     "nan_angle.json": "gate RX: parameter is not a finite number",
     "huge_angle.json": "gate RX: parameter is not a finite number",
+    "zero_qubits.json": "num_qubits must be >= 1",
+    "negative_clbits.json": "num_clbits must be >= 0",
+    "condition_value.json": "condition value must be 0 or 1",
+    "bool_num_qubits.json": "True is not an integer",
+    "bool_num_clbits.json": "False is not an integer",
+    "bool_target.json": "False is not an integer",
+    "bool_condition.json": "True is not an integer",
+    "bool_measure.json": "False is not an integer",
+    "bool_angle.json": "gate RX: parameter True is not a real number",
+    "string_angle.json": "gate RX: parameter '1.5' is not a real number",
+    "toplevel.json": "the top level is not a JSON object",
+    "entry.json": "instruction 0 is not a JSON object",
+    "later_entry.json": "instruction 1 is not a JSON object",
+    "global_noise_entry.json": "global_noise slot 0 is not a JSON object",
+    "noise_entry.json": "instruction 0 noise slot 0 is not a JSON object",
+    "global_noise.json": "global_noise is not a JSON object",
+    "noise_kind.json": "instruction 0 noise is not a JSON object",
 }
 
 
@@ -128,6 +154,20 @@ class TestRun:
     def test_nonpositive_max_depth_exits_2(self, bell_path, extra, capsys):
         assert main(["run", bell_path, "--max-depth", "0", *extra]) == 2
         assert capsys.readouterr().err == "error: max_depth must be >= 1\n"
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "state not normalized"), (["--shots", "20"], "leaf state has trace"),
+    ])
+    def test_failed_check_in_a_run_exits_2(self, bell_path, capsys, monkeypatch, extra, message):
+        def collapse_unnormalized(state, qubit, outcome):  # st.collapse without renormalizing
+            kept = np.zeros_like(state)
+            st._halves(kept, qubit)[:, outcome] = st._halves(state, qubit)[:, outcome]
+            return kept
+
+        monkeypatch.setattr(st, "collapse", collapse_unnormalized)
+        assert main(["run", bell_path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_bond_overflow_exits_2(self, bell_path, capsys):
         assert main(["run", bell_path, "--engine", "mps", "--mps-max-bond", "1"]) == 2
@@ -264,6 +304,30 @@ class TestRun:
         pytest.param("huge_angle.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate",'
                      b' "name": "RX", "params": [' + b"9" * 400 + b'], "targets": [0]}]}',
                      id="huge_angle.json"),
+        ("zero_qubits.json", b'{"num_qubits": 0, "instructions": []}'),
+        ("negative_clbits.json", b'{"num_qubits": 1, "num_clbits": -1, "instructions": []}'),
+        ("condition_value.json", b'{"num_qubits": 2, "num_clbits": 1, "instructions": [{"kind":'
+                                 b' "gate", "name": "X", "targets": [1], "condition": [0, 2]}]}'),
+        # a JSON true or false is not a count, a qubit, a bit or an angle
+        ("bool_num_qubits.json", b'{"num_qubits": true, "instructions": []}'),
+        ("bool_num_clbits.json", b'{"num_qubits": 1, "num_clbits": false, "instructions": []}'),
+        ("bool_target.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "X",'
+                             b' "targets": [false]}]}'),
+        ("bool_condition.json", b'{"num_qubits": 2, "num_clbits": 2, "instructions": [{"kind":'
+                                b' "gate", "name": "X", "targets": [1], "condition": [true, 1]}]}'),
+        ("bool_measure.json", b'{"num_qubits": 1, "num_clbits": 1, "instructions":'
+                              b' [{"kind": "measure", "qubit": false, "clbit": 0}]}'),
+        ("bool_angle.json", b'{"num_qubits": true, "instructions": [{"kind": "gate", "name": "RX",'
+                            b' "params": [true], "targets": [false]}]}'),
+        ("string_angle.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "RX",'
+                              b' "params": ["1.5"], "targets": [0]}]}'),
+        # an entry that is not an object is named
+        ("later_entry.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "H",'
+                             b' "targets": [0]}, [0]]}'),
+        ("global_noise_entry.json", b'{"num_qubits": 1, "instructions": [], "global_noise":'
+                                    b' {"0": 3}}'),
+        ("noise_entry.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "H",'
+                             b' "targets": [0], "noise": {"0": "dephasing"}}]}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name
@@ -611,6 +675,21 @@ class TestRandom:
         assert main(["random", "--qubits", "1", "--depth", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "bell.qasm", "--engine", "mps", "--repr", "density"],
+    ["run", "bell.qasm", "--shots", "0"],
+    ["random", "--qubits", "1"],
+    ["bench", "--engine", "simple", "--depths", "2,x"],
+    ["noise-sweep", "--epsilons", "2"],
+])
+def test_config_error_leaves_no_out_file(bell_path, tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    argv = [bell_path if arg == "bell.qasm" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestBench:
     def test_csv_row_per_depth(self, capsys):
         code = main(["bench", "--engine", "mps", "--qubits", "3",
@@ -624,6 +703,14 @@ class TestBench:
         code = main(["bench", "--engine", "mps", "--qubits", "4", "--reps", "1"])
         assert code == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 7
+
+    @pytest.mark.parametrize("args, message", [
+        (["--depths", "2,x"], "invalid literal for int() with base 10: 'x'"),
+        (["--reps", "0"], "repetitions must be >= 1"),
+    ])
+    def test_bad_sweep_exits_2(self, capsys, args, message):
+        assert main(["bench", "--engine", "simple", "--qubits", "3", *args]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestNoiseSweep:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -92,6 +93,16 @@ class TestSimple:
         with pytest.raises(ConfigError):
             run(c, RunConfig(representation="wave"))
         run(c, RunConfig(representation="density"))  # no raise
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RunConfig(representation="mixed"), "unknown representation 'mixed'"),
+    (lambda: RunConfig(engine="tn"), "unknown engine 'tn'"),
+    (lambda: run_shots(bell_circuit(), RunConfig(), 0), "shots must be >= 1"),
+])
+def test_invalid_run_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestMps:

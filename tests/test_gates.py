@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -85,13 +88,32 @@ def test_wrong_param_count_rejected():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, params", [
     ("RX", [np.inf]), ("RY", [np.nan]), ("RZ", [-np.inf]), ("U3", [0.5, np.nan, 0.5]),
-    ("RX", [10**400]),  # an integer too large for a float
+    ("RX", [10**400]), ("RX", [-10**400]),  # integers too large for a float
+    ("RX", [np.float32(np.inf)]),
 ])
 def test_non_finite_parameters_are_refused_before_the_matrix(name, params):
     # warnings are errors here: no matrix of non-finite angles is built
     with pytest.raises(ValueError) as exc:
         make_gate(name, params)
     assert str(exc.value) == f"gate {name}: parameter is not a finite number"
+
+
+@pytest.mark.parametrize("angle", [True, False, "1.5", None, 1j])
+def test_non_real_parameters_are_refused(angle):
+    with pytest.raises(ValueError) as exc:
+        make_gate("RX", [angle])
+    assert str(exc.value) == f"gate RX: parameter {angle!r} is not a real number"
+
+
+@pytest.mark.parametrize("angle", [0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1),
+                                   Fraction(1, 2)])
+def test_real_parameters_of_any_type_are_angles(angle):
+    assert make_gate("RX", [angle]).params == (float(angle),)
+
+
+def test_matrix_shape_must_match_arity():
+    with pytest.raises(ValueError, match=re.escape("matrix shape (2, 2) != (4,4)")):
+        Gate("U", 2, (), np.eye(2))
 
 
 def test_signatures_are_pinned():

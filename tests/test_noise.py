@@ -68,6 +68,10 @@ class TestChannelConstruction:
             with pytest.raises(ValueError):
                 factory(eps)
 
+    def test_empty_kraus_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            NoiseChannel("custom", 0.5, ())
+
     def test_incomplete_kraus_set_rejected(self):
         with pytest.raises(ValueError):
             NoiseChannel("custom", 0.5, (np.eye(2) * 0.5,))

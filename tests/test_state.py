@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qcsim.engines import _Group, _merge_groups
 from qcsim.state import (
     NORM_ATOL,
     DensityMatrix,
+    MeasurementRecord,
     PureState,
     _psd_sqrt,
     collapse,
@@ -55,6 +58,19 @@ class TestInvariants:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             PureState(2, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PureState(0, np.array([1.0])), "num_qubits must be >= 1"),
+        (lambda: PureState(1, np.ones((2, 1)) / np.sqrt(2)),
+         "expected 2 amplitudes, got shape (2, 1)"),
+        (lambda: DensityMatrix(0, np.array([[1.0]])), "num_qubits must be >= 1"),
+        (lambda: DensityMatrix(1, np.eye(4) / 4), "expected 2x2 matrix, got shape (4, 4)"),
+        (lambda: MeasurementRecord(0, 0, 2, 0.5), "outcome must be 0 or 1"),
+        (lambda: MeasurementRecord(0, 0, 1, 1.5), "probability must lie in [0, 1]"),
+    ])
+    def test_invalid_arguments_rejected(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

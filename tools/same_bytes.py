@@ -11,10 +11,14 @@ with one BLAS thread. So does density-matrix `--shots` on the `simple` and
 on the `dense` workload's 7-qubit circuit with every qubit measured at the
 end, under each of its noise configs, and on `teleport.qasm` under each
 config without overrides (the overrides name instructions of the 7-qubit
-circuit, past the end of `teleport.qasm`).
-For each invocation the exit code, stdout, stderr and the `--out` file are
-compared. Each difference is printed, then the count; the status is 1 if
-there is any difference, else 0.
+circuit, past the end of `teleport.qasm`). So does `run teleport.qasm`
+without `--shots` (its report holds measurement records) on every wave
+engine and on density `simple` and `depth`; one failing invocation of each
+subcommand (`FAILING`), with and without `--out`; and the `--help` text of
+`qcsim` and of each subcommand.
+For each invocation the exit code, stdout, stderr and the `--out` file
+(its bytes, or that it was not written) are compared. Each difference is
+printed, then the count; the status is 1 if there is any difference, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +39,17 @@ import workloads  # noqa: E402
 WORKLOADS = ("dense", "mps-shots")
 SEEDS = (1, 2)
 FIELDS = ("exit code", "stdout", "stderr", "--out file")  # what `outcome` returns
+# invocations that exit 2, one or more per subcommand: a bad size, depth
+# list, epsilon and shot count, noise on the wave representation, MPS with
+# a density matrix
+FAILING = (
+    ["random", "--qubits", "1"],
+    ["bench", "--engine", "simple", "--depths", "2,x"],
+    ["noise-sweep", "--epsilons", "2"],
+    ["run", "teleport.qasm", "--shots", "0"],
+    ["run", "random7.qasm", "--noise-config", "global-dephasing.json"],
+    ["run", "teleport.qasm", "--engine", "mps", "--repr", "density"],
+)
 # one fresh interpreter per invocation: qcsim imported from the tree given
 # first, then the CLI's main called with the rest of the arguments
 _RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from qcsim.cli import main; "
@@ -66,17 +81,25 @@ def invocations(seed: int, inputs: Path) -> list:
                 argvs.append(["run", f"{name}.qasm", "--repr", "density", "--engine", engine,
                               "--noise-config", f"{config}.json", "--shots", "200",
                               "--seed", str(seed), "--out", f"{name}-{config}-{engine}.json"])
-    return argvs
+    for engine, repr_ in (("simple", "wave"), ("depth", "wave"), ("mps", "wave"),
+                          ("simple", "density"), ("depth", "density")):
+        argvs.append(["run", "teleport.qasm", "--engine", engine, "--repr", repr_,
+                      "--seed", str(seed), "--out", f"teleport-{engine}-{repr_}.json"])
+    for i, argv in enumerate(FAILING):
+        argvs += [argv, [*argv, "--out", f"failing-{i}.out"]]
+    return argvs + [["--help"]] + [[command, "--help"] for command in
+                                   ("run", "random", "bench", "noise-sweep")]
 
 
 def outcome(src: Path, argv: list, workdir: Path) -> tuple:
-    """(exit code, stdout, stderr, bytes of the --out file or None if none
-    was written); every compared invocation has an --out file."""
+    """(exit code, stdout, stderr, bytes of the --out file, or None if
+    `argv` names none or none was written)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", _RUN, str(src), *argv], cwd=workdir,
                           env=env, capture_output=True)
-    out = workdir / argv[argv.index("--out") + 1]
-    return done.returncode, done.stdout, done.stderr, out.read_bytes() if out.exists() else None
+    out = workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
+    return (done.returncode, done.stdout, done.stderr,
+            out.read_bytes() if out and out.exists() else None)
 
 
 def main(argv=None) -> int:

@@ -239,14 +239,22 @@ def _instruction_from_dict(index: int, entry) -> Instruction:
         return measure(entry["qubit"], entry["clbit"])
     if entry["kind"] != GATE_APP:
         return Instruction(entry["kind"])  # raises: Instruction refuses an unknown kind
-    condition = tuple(entry["condition"]) if "condition" in entry else None
+    condition = (tuple(_json_list(entry["condition"], f"{name} condition"))
+                 if "condition" in entry else None)
     noise = NoiseSpec.from_dict(entry["noise"], f"{name} noise") if "noise" in entry else None
     return gate_app(
-        make_gate(entry["name"], entry.get("params", [])),
-        entry["targets"],
+        make_gate(entry["name"], _json_list(entry.get("params", []), f"{name} params")),
+        _json_list(entry["targets"], f"{name} targets"),
         condition=condition,
         noise=noise,
     )
+
+
+def _json_list(value, name: str) -> list:
+    """`value` if it is a JSON list; a ValueError naming it otherwise."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} is not a list")
+    return value
 
 
 def circuit_to_json(circuit: Circuit) -> str:

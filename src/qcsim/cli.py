@@ -10,26 +10,22 @@ Diagnostics go to stderr; data goes to stdout or --out. Exit codes:
 0 success, 1 input/parse error, 2 invalid configuration.
 
 Every subcommand leaves through one exit path, `main`. A `_cmd_*` function
-returns its output as text pieces that can be closed (`run` the generator
-of its report's text, the others a stream of their QASM or CSV text) and
+returns its output as an iterable of text pieces (`run` the generator of
+its report's text, the others a stream of their QASM or CSV text) and
 maps no error. `main` computes that output before any --out file is
 opened, so a failed command leaves no file; it turns a ValueError
 (ConfigError included) or a BondOverflowError into exit 2, and then writes
-the output under `closing`. The readers of the input files raise
-SystemExitError with their own prefix and exit code, and so does writing.
-Each failure is one `error:` line on stderr.
+the output. The readers of the input files raise SystemExitError with
+their own prefix and exit code, and so does writing. Each failure is one
+`error:` line on stderr.
 
-`run` writes a state's JSON in blocks of about 1,024 entries. A state of
-at least 2 x _SPAN_MIN_ENTRIES entries is encoded by up to one process
-per usable CPU: forked children encode later spans of blocks into
-unlinked temporary files while this process encodes and writes the first
-span, then it copies their text out in order. Each process holds one
-block's text at a time (about 80 KB for 1,024 amplitudes), and this one
-also a 64 K-character copy chunk; the children read the state array
-copy-on-write. Where os.fork or os.sched_getaffinity is missing (Windows,
-macOS) or one CPU is usable, the state is encoded in this process alone.
-The bytes are the same either way. A failed child, or a closed stdout,
-is one `error:` line and exit 1, and no child outlives main().
+`run` writes a state's JSON in blocks of about 1,024 entries, in this
+process alone, holding one block's text at a time. The floats of a block
+are encoded at once by `reprs.write`: Ryū's shortest digits, computed on
+uint64 arrays, for every float with 0 < |x| < 1 on Ryū's common path, and
+float.__repr__ for the rest (zeros, subnormals, powers of two, Ryū's
+trailing-zero cases, |x| >= 1), so the text is float.__repr__'s, as
+json.dumps writes it. A closed stdout is one `error:` line and exit 1.
 """
 
 from __future__ import annotations
@@ -38,14 +34,12 @@ import argparse
 import io
 import json
 import os
-import signal
 import sys
-import tempfile
-from contextlib import closing, suppress
 from dataclasses import replace
 
 import numpy as np
 
+from . import reprs
 from .bench import bench_depth_sweep, fidelity_csv, fidelity_sweep, timing_csv
 from .circuit import GATE_APP, Circuit, as_index, circuit_from_json, random_circuit
 from .engines import ENGINES, REPRESENTATIONS, RunConfig, run, run_shots
@@ -121,13 +115,6 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
 # Amplitudes (or matrix entries) per block of the state's JSON text: the
 # output is written block by block, never held whole in memory.
 _BLOCK_ENTRIES = 1 << 10
-# Fewest entries worth an encoder process of their own. Encoding costs
-# about 3 us per entry. On a 2-core host, with 32 MB resident, forking and
-# copying back cost as much as two processes save on 2^13 entries, and
-# 2^14 entries took 44 ms in two processes against 51 ms in one.
-_SPAN_MIN_ENTRIES = 1 << 13
-# Characters per read when copying an encoder process's text out.
-_COPY_CHARS = 1 << 16
 _STATE_MARK = "@state@"
 
 
@@ -153,70 +140,20 @@ def _block_layout(shape, indent: int) -> list:
     return layout
 
 
-def _encode_blocks(array: np.ndarray, starts: range, step: int, indent: int):
-    """Yield the text of the blocks of `step` rows that begin at `starts`.
+def _block_rows(shape, indent: int):
+    """The rows of a block of `shape`, one per float, and the text after
+    its last float.
 
-    A join allocates each block's text once. %-formatting a template grows
-    it in steps, and left the heap about 2 MB larger after a few
-    2^17-entry states.
+    A row holds the JSON text before its float (an even item of
+    _block_layout), NUL-padded, then reprs.WIDTH slots for the float's
+    text. The rows are a bytearray, whose translate drops the NULs (which
+    leaves the block's text up to its last float) without first copying
+    the rows to bytes.
     """
-    layouts = {}
-    for start in starts:
-        block = np.ascontiguousarray(array[start:start + step], dtype=np.complex128)
-        if block.shape not in layouts:
-            layouts[block.shape] = _block_layout(block.shape, indent)
-        layout = layouts[block.shape]
-        layout[1::2] = map(float.__repr__, block.view(np.float64).reshape(-1).tolist())
-        yield ("," if start else "") + "".join(layout)
-
-
-def _encoder_count(entries: int, blocks: int) -> int:
-    """Processes that encode a state: one per usable CPU, each with at
-    least _SPAN_MIN_ENTRIES entries; one where the host cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(cpus, entries // _SPAN_MIN_ENTRIES, blocks))
-
-
-def _current_cpu() -> int | None:
-    """The CPU this process runs on, or None where Linux's /proc is absent."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _fork_encoder(array: np.ndarray, starts: range, step: int, indent: int):
-    """Fork a process that writes the text of the blocks at `starts` to an
-    unlinked temporary file; return its pid and the file.
-
-    The child leaves only through os._exit, so it never flushes the
-    buffers it inherited (stdout, --out) nor runs atexit handlers. Its
-    exit status is 0 once the whole text is in the file.
-    """
-    text = tempfile.TemporaryFile("w+", encoding="ascii")
-    # Linux may start the child on this process's CPU and leave both there
-    # for the whole encode, which then takes twice as long; the child keeps
-    # off it.
-    others = os.sched_getaffinity(0) - {_current_cpu()}
-    try:
-        pid = os.fork()
-    except OSError:
-        text.close()
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            with suppress(OSError):  # no other usable CPU: stay unpinned
-                os.sched_setaffinity(0, others)
-            text.writelines(_encode_blocks(array, starts, step, indent))
-            text.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, text
+    pieces = _block_layout(shape, indent)[::2]
+    width = -(-max(map(len, pieces[:-1])) // 8) * 8 + reprs.WIDTH  # 8-byte aligned
+    rows = bytearray("".join(piece.ljust(width, "\0") for piece in pieces[:-1]), "ascii")
+    return rows, pieces[-1]
 
 
 def _state_blocks(array: np.ndarray, indent: int):
@@ -224,45 +161,27 @@ def _state_blocks(array: np.ndarray, indent: int):
 
     The text is what json.dumps(..., indent=2) writes for the array as a
     value on a line indented by `indent` spaces. The array is cut into
-    blocks of about _BLOCK_ENTRIES entries (whole rows of a matrix), each
-    joined into its layout (_encode_blocks). The blocks are split into one
-    contiguous span per encoder process (_encoder_count). Forked children
-    encode the later spans, each into its own temporary file, while this
-    process encodes and yields the first; then it reaps each child in
-    order and copies its file out in chunks. A child that fails is an
-    error. Every child is reaped on every path, the generator's close()
-    included, so none outlives it.
+    blocks of about _BLOCK_ENTRIES entries (whole rows of a matrix); each
+    block's floats are written into the rows of one buffer per block
+    shape (_block_rows) by reprs.write, so only one block's text is held
+    at a time.
     """
     step = max(1, _BLOCK_ENTRIES * len(array) // array.size)
-    starts = range(0, len(array), step)
-    workers = _encoder_count(array.size, len(starts))
-    cuts = [len(starts) * k // workers for k in range(workers + 1)]
-    spans = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []  # (pid, file) of encoders not yet reaped, in span order
-    try:
-        for span in spans[1:]:
-            children.append(_fork_encoder(array, span, step, indent))
-        yield "["
-        yield from _encode_blocks(array, spans[0], step, indent)
-        while children:
-            pid, text = children[0]
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            with text:
-                if status:
-                    code = os.waitstatus_to_exitcode(status)
-                    raise SystemExitError(
-                        EXIT_INPUT_ERROR, f"state encoder process failed with status {code}"
-                    )
-                text.seek(0)
-                while chunk := text.read(_COPY_CHARS):
-                    yield chunk
-        yield "\n" + " " * indent + "]"
-    finally:
-        for pid, text in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            text.close()
+    buffers = {}
+    yield "["
+    for start in range(0, len(array), step):
+        block = np.ascontiguousarray(array[start:start + step], dtype=np.complex128)
+        if block.shape not in buffers:
+            buffers[block.shape] = _block_rows(block.shape, indent)
+        rows, tail = buffers[block.shape]
+        floats = block.view(np.float64).reshape(-1)
+        slots = np.frombuffer(rows, dtype=np.uint8).reshape(len(floats), -1)
+        reprs.write(floats, slots[:, -reprs.WIDTH:])
+        if start:
+            yield ","
+        yield rows.translate(None, b"\0").decode("ascii")
+        yield tail
+    yield "\n" + " " * indent + "]"
 
 
 def _report_text(report: dict, state: np.ndarray | None = None):
@@ -417,8 +336,7 @@ def main(argv=None) -> int:
             output = args.func(args)
         except (ValueError, BondOverflowError) as exc:  # ConfigError included
             raise SystemExitError(EXIT_CONFIG_ERROR, str(exc))
-        with closing(output):  # reaps run's state encoders if writing fails
-            _write_output(output, args.out)
+        _write_output(output, args.out)
     except SystemExitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

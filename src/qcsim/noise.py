@@ -159,9 +159,14 @@ class NoiseSpec:
 
     @staticmethod
     def from_dict(data, name: str) -> "NoiseSpec":
-        """The spec of a circuit JSON noise object; `name` names it in errors."""
-        return NoiseSpec({int(slot): channel_from_entry(entry, f"{name} slot {slot}")
-                          for slot, entry in json_object(data, name).items()})
+        """The spec of a circuit JSON noise object, whose keys are slots
+        "0" and "1"; `name` names it in errors."""
+        spec = {}
+        for slot, entry in json_object(data, name).items():
+            if slot not in ("0", "1"):
+                raise ValueError(f'{name} slot {slot!r} is not "0" or "1"')
+            spec[int(slot)] = channel_from_entry(entry, f"{name} slot {slot}")
+        return NoiseSpec(spec)
 
     @staticmethod
     def uniform(kind: str, epsilon: float, arity: int) -> "NoiseSpec":

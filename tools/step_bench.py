@@ -20,7 +20,15 @@ and 20 qubits, unrouted and routed, the best time of the dense export
 exported vector (16 x 2^n). Last, on each engine, the best time of
 1,000 `run_shots` of a 12-qubit `random_circuit` of depth 10 (seed 1)
 with every qubit measured at the end, and the best time of deriving the
-draws of those 1,000 shots alone (`engines._shot_draws`).
+draws of those 1,000 shots alone (`engines._shot_draws`). Last, for
+random state vectors of 2^16 and 2^17 entries and random density
+matrices of 2^7 x 2^7 and 2^9 x 2^9 (seed 1), the best time and the
+tracemalloc peak of a `run` report's JSON text joined into one string
+(`"".join(cli._report_text(...))`), and the peak of taking the same text
+piece by piece without keeping it, as `run` writes it: the joined peak is
+about twice the text (the pieces and the string), the streamed one is
+what the encoder itself holds. This is the only per-layer view of state
+encoding, which perfbench sees only inside `cli.serialize_s`.
 """
 
 from __future__ import annotations
@@ -29,13 +37,14 @@ import argparse
 import sys
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from qcsim import engines  # noqa: E402
+from qcsim import cli, engines  # noqa: E402
 from qcsim.bench import bench_depth_sweep  # noqa: E402
 from qcsim.circuit import Circuit, instruction_layers, measure, random_circuit  # noqa: E402
 from qcsim.engines import RunConfig, run, run_shots  # noqa: E402
@@ -52,6 +61,7 @@ CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
 PARSE_DEPTHS = (50, 400)  # of 20-qubit random circuits, seed 1
 EXPORT_QUBITS = (16, 20)
 SHOTS = {"qubits": 12, "depth": 10, "shots": 1000}  # a measure-all circuit, seed 1
+SERIALIZE = [("wave", 16), ("wave", 17), ("density", 7), ("density", 9)]  # seed 1
 
 
 def best_time(fn, reps: int) -> float:
@@ -80,14 +90,32 @@ def export_chain(qubits: int, routed: bool) -> MPSState:
     return chain
 
 
-def export_peak(chain: MPSState) -> int:
-    """The tracemalloc peak, in bytes, of one export of the chain."""
+def peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
     tracemalloc.start()
     try:
-        chain.to_pure_state()
+        fn()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def random_state(kind: str, qubits: int) -> np.ndarray:
+    """A random normalized state vector, or a random density matrix."""
+    rng, dim = np.random.default_rng(1), 1 << qubits
+    if kind == "wave":
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return psi / np.linalg.norm(psi)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def report_pieces(kind: str, state: np.ndarray):
+    """The pieces of the JSON text of a `run` report that holds the state."""
+    key = "amplitudes" if kind == "wave" else "matrix"
+    return cli._report_text({"num_qubits": 1, "final_state": {"kind": kind, key: cli._STATE_MARK}},
+                            state)
 
 
 def main(argv=None) -> None:
@@ -123,9 +151,9 @@ def main(argv=None) -> None:
         for routed in (False, True):
             chain = export_chain(qubits, routed)
             best = best_time(chain.to_pure_state, args.reps)
-            peak = export_peak(chain) / (16 << qubits)
+            peak_bytes = peak(chain.to_pure_state) / (16 << qubits)
             label = "routed" if routed else "unrouted"
-            print(f"{qubits},{label},{max(chain.bond_dims())},{best:.4f},{peak:.2f}")
+            print(f"{qubits},{label},{max(chain.bond_dims())},{best:.4f},{peak_bytes:.2f}")
     n, shots = SHOTS["qubits"], SHOTS["shots"]
     body = random_circuit(n, SHOTS["depth"], 1).instructions
     circuit = Circuit(n, n, list(body) + [measure(q, q) for q in range(n)])
@@ -135,6 +163,13 @@ def main(argv=None) -> None:
         print(f"{engine},{best_time(lambda: run_shots(circuit, config, shots), args.reps):.4f}")
     best = best_time(lambda: engines._shot_draws(1, range(shots), n), args.reps)
     print(f"seeds only,{best:.4f}")
+    print("\nserialize: state,qubits,entries,best_s,joined_peak_mb,streamed_peak_mb")
+    for kind, qubits in SERIALIZE:
+        state = random_state(kind, qubits)
+        best = best_time(lambda: "".join(report_pieces(kind, state)), args.reps)
+        joined = peak(lambda: "".join(report_pieces(kind, state))) / 2**20
+        streamed = peak(lambda: deque(report_pieces(kind, state), maxlen=0)) / 2**20
+        print(f"{kind},{qubits},{state.size},{best:.4f},{joined:.2f},{streamed:.2f}")
 
 
 if __name__ == "__main__":

@@ -232,13 +232,20 @@ def _instruction_to_dict(ins: Instruction) -> dict:
     return entry
 
 
+# the keys that each kind of circuit JSON instruction may hold
+_INSTRUCTION_KEYS = {MEASURE: ("kind", "qubit", "clbit"),
+                     GATE_APP: ("kind", "name", "params", "targets", "condition", "noise")}
+
+
 def _instruction_from_dict(index: int, entry) -> Instruction:
     """The instruction of entry `index` of a circuit JSON's instructions."""
     name = f"instruction {index}"
-    if json_object(entry, name)["kind"] == MEASURE:
+    kind = json_object(entry, name)["kind"]
+    if kind != MEASURE and kind != GATE_APP:
+        return Instruction(kind)  # raises: Instruction refuses an unknown kind
+    json_object(entry, name, _INSTRUCTION_KEYS[kind])
+    if kind == MEASURE:
         return measure(entry["qubit"], entry["clbit"])
-    if entry["kind"] != GATE_APP:
-        return Instruction(entry["kind"])  # raises: Instruction refuses an unknown kind
     condition = (tuple(_json_list(entry["condition"], f"{name} condition"))
                  if "condition" in entry else None)
     noise = NoiseSpec.from_dict(entry["noise"], f"{name} noise") if "noise" in entry else None
@@ -269,7 +276,8 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    doc = json_object(json.loads(text), "the top level")
+    doc = json_object(json.loads(text), "the top level",
+                      ("num_qubits", "num_clbits", "instructions", "global_noise"))
     instructions = doc.get("instructions", [])
     if not isinstance(instructions, list):
         raise ValueError("instructions must be a list")

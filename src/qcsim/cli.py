@@ -50,6 +50,8 @@ from .state import PureState
 
 EXIT_INPUT_ERROR = 1
 EXIT_CONFIG_ERROR = 2
+# the keys that an entry of a noise config's `overrides` may hold
+_OVERRIDE_KEYS = ("instruction", "slot", "kind", "epsilon")
 
 
 def _load_circuit(path: str) -> Circuit:
@@ -88,7 +90,7 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
     except (OSError, ValueError, RecursionError) as exc:  # JSON and UTF-8 decoding errors
         raise SystemExitError(EXIT_INPUT_ERROR, f"cannot read noise config: {exc}")
     try:
-        if "global" in json_object(doc, "the top level"):
+        if "global" in json_object(doc, "the top level", ("global", "overrides")):
             channel = channel_from_entry(doc["global"], "global")
             circuit = circuit.with_global_noise(NoiseSpec({0: channel, 1: channel}))
         # an override replaces all of its instruction's noise: the slots of
@@ -98,8 +100,8 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
         if not isinstance(overrides, list):
             raise ValueError("overrides must be a list")
         for i, entry in enumerate(overrides):
-            index = as_index(json_object(entry, f"override {i}")["instruction"])
-            channel = channel_from_entry(entry, f"override {i}")
+            channel = channel_from_entry(entry, f"override {i}", _OVERRIDE_KEYS)
+            index = as_index(entry["instruction"])
             slots = overridden.setdefault(index, {})
             slots[as_index(entry["slot"])] = channel
             if not 0 <= index < len(instructions):

@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import state as st
-from .circuit import MEASURE, Circuit, instruction_layers
+from .circuit import MEASURE, Circuit, as_index, instruction_layers
 from .gates import apply_local, apply_on_qubits, step_operator
 from .mps import MPSState
 from .state import DensityMatrix, MeasurementRecord, PureState
@@ -87,12 +87,17 @@ class RunConfig:
             raise ConfigError(f"unknown representation {self.representation!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
-        if self.mps_max_bond is not None and self.mps_max_bond < 1:
-            raise ConfigError("mps_max_bond must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for field, least in (("max_depth", 1), ("mps_max_bond", 1), ("seed", 0)):
+            value = getattr(self, field)
+            if value is None and field != "seed":
+                continue
+            try:
+                value = as_index(value)  # an np.int64 too, but not 2.5 or True
+            except TypeError:
+                raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ConfigError(f"{field} must be >= {least}")
+            object.__setattr__(self, field, value)
         if self.engine == MPS and self.representation == DENSITY:
             raise ConfigError("the MPS engine supports the wave representation only")
 

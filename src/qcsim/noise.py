@@ -112,18 +112,23 @@ def amplitude_damping(epsilon: float) -> NoiseChannel:
     return channel_from_kind(AMPLITUDE_DAMPING, epsilon)
 
 
-def json_object(value, name: str) -> dict:
-    """`value` if it is a JSON object; a ValueError naming it otherwise."""
+def json_object(value, name: str, keys=None) -> dict:
+    """`value` if it is a JSON object, and one whose keys are all in `keys`
+    when that is given; a ValueError naming it, or its first unknown key,
+    otherwise."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} is not a JSON object")
+    for key in () if keys is None else value:
+        if key not in keys:
+            raise ValueError(f"{name} has an unknown key {key!r}")
     return value
 
 
-def channel_from_entry(entry, name: str) -> NoiseChannel:
+def channel_from_entry(entry, name: str, keys=("kind", "epsilon")) -> NoiseChannel:
     """The channel of a noise entry, `{"kind": ..., "epsilon": ...}`: each
     slot of circuit JSON's noise, and each entry of a noise config. `name`
-    names the entry in errors."""
-    entry = json_object(entry, name)
+    names the entry in errors, and `keys` are the keys it may hold."""
+    entry = json_object(entry, name, keys)
     return channel_from_kind(entry["kind"], entry["epsilon"])
 
 

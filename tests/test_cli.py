@@ -60,6 +60,12 @@ NOISE_CONFIG_ERRORS = [
      "True is not an integer"),
     ({"overrides": [{"instruction": 0, "slot": False, "kind": "dephasing", "epsilon": 0.1}]},
      "False is not an integer"),
+    # a key that the reader does not read is refused, not ignored
+    ({"glob": {"kind": "dephasing", "epsilon": 0.1}}, "the top level has an unknown key 'glob'"),
+    ({"global": {"kind": "dephasing", "epsilon": 0.1, "slot": 0}},
+     "global has an unknown key 'slot'"),
+    ({"overrides": [{"instruction": 0, "slot": 0, "kind": "dephasing", "epsilon": 0.1,
+                     "epsilom": 0.2}]}, "override 0 has an unknown key 'epsilom'"),
 ]
 
 # The message of each bad input file whose wording is pinned.
@@ -92,6 +98,10 @@ BAD_INPUT_MESSAGES = {
     "targets_not_list.json": "instruction 0 targets is not a list",
     "params_not_list.json": "instruction 0 params is not a list",
     "condition_not_list.json": "instruction 0 condition is not a list",
+    "misspelt_global_noise.json": "the top level has an unknown key 'global_nosie'",
+    "misspelt_noise.json": "instruction 0 has an unknown key 'nosie'",
+    "measure_targets.json": "instruction 0 has an unknown key 'targets'",
+    "noise_entry_key.json": "global_noise slot 0 has an unknown key 'epsilom'",
 }
 
 
@@ -351,6 +361,16 @@ class TestRun:
         ("condition_not_list.json", b'{"num_qubits": 1, "num_clbits": 1, "instructions":'
                                     b' [{"kind": "gate", "name": "X", "targets": [0],'
                                     b' "condition": 1}]}'),
+        # a key that the reader does not read is refused, not ignored
+        ("misspelt_global_noise.json", b'{"num_qubits": 1, "instructions": [], "global_nosie":'
+                                       b' {"0": {"kind": "dephasing", "epsilon": 0.1}}}'),
+        ("misspelt_noise.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name":'
+                                b' "H", "targets": [0], "nosie": {"0": {"kind": "dephasing",'
+                                b' "epsilon": 0.1}}}]}'),
+        ("measure_targets.json", b'{"num_qubits": 1, "num_clbits": 1, "instructions": [{"kind":'
+                                 b' "measure", "qubit": 0, "clbit": 0, "targets": [0]}]}'),
+        ("noise_entry_key.json", b'{"num_qubits": 1, "instructions": [], "global_noise": {"0":'
+                                 b' {"kind": "dephasing", "epsilon": 0.1, "epsilom": 0.2}}}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name

@@ -105,6 +105,29 @@ def test_invalid_run_arguments_rejected(call, message):
         call()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_depth", 2.5, "max_depth must be an integer, got 2.5"),
+    ("max_depth", True, "max_depth must be an integer, got True"),
+    ("mps_max_bond", 4.0, "mps_max_bond must be an integer, got 4.0"),
+    ("mps_max_bond", "4", "mps_max_bond must be an integer, got '4'"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", None, "seed must be an integer, got None"),
+    ("max_depth", 0, "max_depth must be >= 1"),
+    ("mps_max_bond", np.int64(0), "mps_max_bond must be >= 1"),
+    ("seed", -1, "seed must be >= 0"),
+])
+def test_run_config_integers_are_checked(field, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{field: value})
+
+
+def test_run_config_takes_numpy_integers_as_ints():
+    config = RunConfig(max_depth=np.int64(2), mps_max_bond=np.int32(4), seed=np.uint8(7))
+    assert (config.max_depth, config.mps_max_bond, config.seed) == (2, 4, 7)
+    assert all(type(v) is int for v in (config.max_depth, config.mps_max_bond, config.seed))
+    assert run(bell_circuit(), config).layers_executed == 2
+
+
 class TestMps:
     def test_product_circuit_keeps_bond_one(self):
         c = Circuit(4, 0, [h(0), h(1), h(2), h(3)])

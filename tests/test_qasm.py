@@ -37,6 +37,15 @@ class TestParse:
         assert c.instructions[1].gate.params == (-math.pi,)
         assert c.instructions[2].gate.params == (2 * math.pi - math.pi / 4,)
 
+    @pytest.mark.parametrize("expr, value", [
+        ("1-2-3", -4.0), ("8/2/2", 2.0), ("2+3*4", 14.0), ("2*3+4", 10.0), ("-2*3", -6.0),
+        ("-(1+2)*3", -9.0), ("pi/2/2", math.pi / 4), ("1-2*3/4+5", 1 - 2 * 3 / 4 + 5),
+    ])
+    def test_expression_values(self, expr, value):
+        """`+ -` and `* /` are each left-associative, and `* /` binds tighter."""
+        c = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
+        assert c.instructions[0].gate.params == (value,)
+
     def test_conditional_gate(self):
         source = (
             'OPENQASM 2.0;\nqreg q[3];\ncreg c[1];\n'
@@ -258,6 +267,22 @@ class TestParseErrors:
         pytest.param('OPENQASM 2.0;\nqreg q[1];\nrx(' + '-(' * 50 + '-1' + ')' * 50 + ') q[0];\n',
                      (3, 104, 'Syntax', 'parameter expression nested deeper than 100 levels'),
                      id="101-levels-mixed"),
+        # a register of the other kind is undeclared where its kind is needed
+        ('OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx c[0];\n',
+         (4, 3, 'Semantic', "undeclared quantum register 'c'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nmeasure q[0] -> q[0];\n',
+         (3, 17, 'Semantic', "undeclared classical register 'q'")),
+        ('OPENQASM 2.0;\nqreg q[1];\nif (q == 1) x q[0];\n',
+         (3, 5, 'Semantic', "undeclared classical register 'q'")),
+        # one name space for both kinds of register
+        ('OPENQASM 2.0;\nqreg q[1];\ncreg q[1];\n',
+         (3, 6, 'Semantic', "register 'q' already declared")),
+        ('OPENQASM 2.0;\ncreg c[1];\nqreg c[1];\n',
+         (3, 6, 'Semantic', "register 'c' already declared")),
+        ('OPENQASM 2.0;\nqreg q[1];\ngate foo a { x a; }\n',
+         (3, 1, 'Semantic', 'gate definitions are not supported')),
+        ('OPENQASM 3.0;\nqreg q[1];\n',
+         (1, 10, 'Semantic', "unsupported OpenQASM version '3.0'")),
     ])
     def test_error_positions_are_pinned(self, source, expected):
         err = self.check(source)

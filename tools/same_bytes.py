@@ -14,8 +14,11 @@ config without overrides (the overrides name instructions of the 7-qubit
 circuit, past the end of `teleport.qasm`). So does `run teleport.qasm`
 without `--shots` (its report holds measurement records) on every wave
 engine and on density `simple` and `depth`; one failing invocation of each
-subcommand (`FAILING`), with and without `--out`; and the `--help` text of
-`qcsim` and of each subcommand.
+subcommand (`FAILING`), with and without `--out`; `run` on each program
+of `MALFORMED`, a corpus of malformed QASM with one program per message
+of the parser's errors (lex, syntax and semantic), at the first seed only,
+as the corpus does not depend on it; and the `--help` text of `qcsim` and
+of each subcommand.
 For each invocation the exit code, stdout, stderr and the `--out` file
 (its bytes, or that it was not written) are compared. Each difference is
 printed, then the count; the status is 1 if there is any difference, else 0.
@@ -50,6 +53,39 @@ FAILING = (
     ["run", "random7.qasm", "--noise-config", "global-dephasing.json"],
     ["run", "teleport.qasm", "--engine", "mps", "--repr", "density"],
 )
+# malformed QASM programs, one per ParseError message, each named by the
+# kind of error (lex, syntax, semantic) and its message
+_HEADER = "OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
+MALFORMED = {
+    "semantic-version": "OPENQASM 3.0;\nqreg q[1];\n",
+    "semantic-no-qubits": "OPENQASM 2.0;\ncreg c[1];\n",
+    "semantic-include": 'OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\n',
+    "lex-character": _HEADER + "x q[0];\t$ q[1];\n",
+    "syntax-expected": _HEADER + "measure q[0] == c[0];\n",
+    "syntax-expected-value": _HEADER + "x q[INT];\n",
+    "syntax-unexpected": _HEADER + "x q[0]; /* block */\n",
+    "syntax-barrier": _HEADER + "barrier q\n",
+    "syntax-parameter": _HEADER + "rx(1 +) q[0];\n",
+    "syntax-nesting": _HEADER + "rx(" + "-(" * 50 + "-1" + ")" * 50 + ") q[0];\n",
+    "semantic-definition": _HEADER + "gate foo a { x a; }\n",
+    "semantic-duplicate": _HEADER + "qreg c[1];\n",
+    "semantic-register-size": _HEADER + "qreg r[0];\n",
+    "semantic-undeclared-quantum": _HEADER + "x c[0];\n",
+    "semantic-undeclared-classical": _HEADER + "if (q == 1) x q[0];\n",
+    "semantic-index": _HEADER + "measure q[0] -> c[1];\n",
+    "semantic-measure-mixed": _HEADER + "measure q -> c[0];\n",
+    "semantic-measure-sizes": _HEADER + "measure q -> c;\n",
+    "semantic-condition": _HEADER + "if (c == 2) x q[0];\n",
+    "semantic-conditioned": _HEADER + "if (c == 1) measure q[0] -> c[0];\n",
+    "semantic-gate": _HEADER + "ccx q[0],q[1],q[1];\n",
+    "semantic-parameter-count": _HEADER + "u2(1) q[0];\n",
+    "semantic-non-finite": _HEADER + "rx(1e999-1e999) q[0];\n",
+    "semantic-division": _HEADER + "rx(pi/(1-1)) q[0];\n",
+    "semantic-unitary": _HEADER + "if (c == 1) u3(1,1e16,1) q[0];\n",
+    "semantic-operand-count": _HEADER + "cx q[0];\n",
+    "semantic-broadcast": _HEADER + "qreg r[3];\ncx q,r;\n",
+    "semantic-distinct": _HEADER + "cx q[1],q[1];\n",
+}
 # one fresh interpreter per invocation: qcsim imported from the tree given
 # first, then the CLI's main called with the rest of the arguments
 _RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from qcsim.cli import main; "
@@ -87,6 +123,9 @@ def invocations(seed: int, inputs: Path) -> list:
                       "--seed", str(seed), "--out", f"teleport-{engine}-{repr_}.json"])
     for i, argv in enumerate(FAILING):
         argvs += [argv, [*argv, "--out", f"failing-{i}.out"]]
+    for name, source in MALFORMED.items() if seed == SEEDS[0] else ():
+        (inputs / f"malformed-{name}.qasm").write_text(source, encoding="utf-8")
+        argvs.append(["run", f"malformed-{name}.qasm"])
     return argvs + [["--help"]] + [[command, "--help"] for command in
                                    ("run", "random", "bench", "noise-sweep")]
 

@@ -32,12 +32,17 @@ MEASURE = "measure"
 RANDOM_1Q_POOL = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ")
 
 
-def as_index(value) -> int:
-    """`value` as an int, by `operator.index`; a bool is refused, as a
-    JSON true or false is no count, qubit or bit."""
+def as_index(value, name: str) -> int:
+    """`value`, the field `name`, as an int, by `operator.index`; a bool is
+    refused, as a JSON true or false is no count, qubit or bit. Any other
+    value that is not an integer is refused with a TypeError naming the
+    field."""
     if isinstance(value, bool):
         raise TypeError(f"{value} is not an integer")
-    return operator.index(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class Instruction:
         if self.kind == GATE_APP:
             if self.gate is None:
                 raise ValueError("gate application needs a gate")
-            targets = tuple(as_index(t) for t in self.targets)
+            targets = tuple(as_index(t, "target") for t in self.targets)
             if len(set(targets)) != len(targets):
                 raise ValueError("targets must be distinct")
             if len(targets) != self.gate.arity:
@@ -64,15 +69,16 @@ class Instruction:
             object.__setattr__(self, "targets", targets)
             check_slots(self.gate, self.noise)
             if self.condition is not None:
-                bit, value = map(as_index, self.condition)
+                bit, value = map(as_index, self.condition, ("condition bit", "condition value"))
                 if value not in (0, 1):
                     raise ValueError("condition value must be 0 or 1")
                 object.__setattr__(self, "condition", (bit, value))
         elif self.kind == MEASURE:
             if self.qubit is None or self.classical_bit is None:
                 raise ValueError("measurement needs a qubit and a classical bit")
-            object.__setattr__(self, "qubit", as_index(self.qubit))
-            object.__setattr__(self, "classical_bit", as_index(self.classical_bit))
+            object.__setattr__(self, "qubit", as_index(self.qubit, "qubit"))
+            object.__setattr__(self, "classical_bit",
+                               as_index(self.classical_bit, "classical bit"))
         else:
             raise ValueError(f"unknown instruction kind {self.kind!r}")
 
@@ -106,7 +112,7 @@ class Circuit:
 
     def __post_init__(self):
         for name in ("num_qubits", "num_clbits"):
-            object.__setattr__(self, name, as_index(getattr(self, name)))
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         if self.num_clbits < 0:

@@ -101,9 +101,9 @@ def _apply_noise_config(circuit: Circuit, path: str) -> Circuit:
             raise ValueError("overrides must be a list")
         for i, entry in enumerate(overrides):
             channel = channel_from_entry(entry, f"override {i}", _OVERRIDE_KEYS)
-            index = as_index(entry["instruction"])
+            index = as_index(entry["instruction"], f"override {i} instruction")
             slots = overridden.setdefault(index, {})
-            slots[as_index(entry["slot"])] = channel
+            slots[as_index(entry["slot"], f"override {i} slot")] = channel
             if not 0 <= index < len(instructions):
                 raise ValueError(f"override index {index} out of range")
             if instructions[index].kind != GATE_APP:

@@ -1,5 +1,10 @@
 """Circuit execution: one walk of the measurement-outcome tree over two backends.
 
+This module holds the run config, the memory check, the schedule and its
+fusion, the one instruction loop and the per-shot seeds. The backends it
+drives live with the arrays they address: the dense backend in `state`,
+the MPS backend in `mps`.
+
 `run` starts every circuit from |0...0>, executes its instructions in
 order, skips gates whose classical condition does not hold, and collapses
 on measurements, sampling each from a PCG64 generator seeded with
@@ -19,9 +24,10 @@ closed form, so the counts equal one `run` per shot exactly.
 
 The engine selects the backend the loop drives:
 
-* ``simple`` — the dense backend (`DenseGroups`) started from one group of
-  all qubits: each step, a gate's or a noise channel's, is one operator
-  contracted into the state on its target axes only (`gates.apply_local`).
+* ``simple`` — the dense backend (`state.DenseGroups`) started from one
+  group of all qubits: each step, a gate's or a noise channel's, is one
+  operator contracted into the state on its target axes only
+  (`state.apply_local`).
 * ``depth``  — the same dense backend started from one group per qubit:
   unentangled qubits stay in independent groups, merged only when a
   two-qubit gate spans two groups. Merges do not reorder qubits; the
@@ -53,18 +59,16 @@ returns counts, and checks each leaf's ``trace()`` instead.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import state as st
 from .circuit import MEASURE, Circuit, as_index, instruction_layers
-from .gates import apply_local, apply_on_qubits, step_operator
+from .gates import step_operator
 from .mps import MPSState
-from .state import DensityMatrix, MeasurementRecord, PureState
+from .state import NORM_ATOL, DenseGroups, MeasurementRecord, apply_local, sample_outcomes
 
 WAVE, DENSITY = REPRESENTATIONS = ("wave", "density")
 SIMPLE, MPS, DEPTH = ENGINES = ("simple", "mps", "depth")
@@ -92,7 +96,7 @@ class RunConfig:
             if value is None and field != "seed":
                 continue
             try:
-                value = as_index(value)  # an np.int64 too, but not 2.5 or True
+                value = as_index(value, field)  # an np.int64 too, but not 2.5 or True
             except TypeError:
                 raise ConfigError(f"{field} must be an integer, got {value!r}") from None
             if value < least:
@@ -240,10 +244,9 @@ def _fuse(steps, density: bool) -> list:
             pending[q] = (pending[q][0], op @ pending[q][1]) if q in pending else (ins, op)
         else:
             for slot, q in enumerate(ins.targets):
-                if q in pending:
-                    # op @ R, where R is the run on its slot, is (R^T op^T)^T
-                    run_op = pending.pop(q)[1]
-                    op = apply_local(op.T, run_op.T, [slot, 2 + slot][:1 + density]).T
+                if q in pending:  # op @ E(R): R^T contracted on op's column axes
+                    rows = [slot, 2 + slot][:1 + density]
+                    op = apply_local(op, pending.pop(q)[1].T, [2 * len(rows) + a for a in rows])
                 last[q] = (len(fused), slot)
             fused.append((ins, op))
     flush(list(pending))
@@ -277,7 +280,7 @@ def _execute(backend, steps, draws, num_clbits: int, records=None):
                     backend.apply(op, ins.targets)
                 continue
             q, bit = ins.qubit, ins.classical_bit
-            p0, ones = st.sample_outcomes(backend.prob_zero(q), draws[shots, k])
+            p0, ones = sample_outcomes(backend.prob_zero(q), draws[shots, k])
             k += 1
             branches = [(o, s) for o, s in ((0, shots[~ones]), (1, shots[ones])) if len(s)]
             if len(branches) == 2:
@@ -316,92 +319,6 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# dense backend
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Group:
-    """An independent block of qubits with its own small raw state.
-
-    qubits are kept in merge order, unsorted; qubits[j] occupies local bit j.
-    """
-
-    qubits: list
-    state: np.ndarray
-
-    def local(self, qubit: int) -> int:
-        return self.qubits.index(qubit)
-
-
-def _merge_groups(a: _Group, b: _Group) -> _Group:
-    """One group of both, with a's qubits on the low local bits; nothing moves."""
-    return _Group(a.qubits + b.qubits, np.kron(b.state, a.state))
-
-
-class DenseGroups:
-    """Dense backend: raw state vectors or density matrices over qubit groups.
-
-    Each group holds the state of its qubits, unentangled with the other
-    groups; a two-qubit gate that spans two groups merges them first, and
-    no merge moves a qubit. Started from one group per qubit (the depth
-    engine), unentangled qubits stay factored; started from one group of all
-    qubits (the simple engine), every gate is contracted into the full state.
-    States are carried unvalidated, and `export` reorders and checks once.
-    """
-
-    def __init__(self, blocks, representation: str):
-        self.owner = [None] * sum(map(len, blocks))  # owner[q]: the group of q
-        for qubits in blocks:  # each in |0...0>
-            d = 2 ** len(qubits)
-            g = _Group(qubits, np.zeros(d if representation == WAVE else (d, d), np.complex128))
-            g.state.flat[0] = 1.0
-            for q in qubits:
-                self.owner[q] = g
-
-    def apply(self, op, targets):
-        g = self.owner[targets[0]]
-        if len(targets) == 2 and self.owner[targets[1]] is not g:
-            g = _merge_groups(g, self.owner[targets[1]])
-            for q in g.qubits:
-                self.owner[q] = g
-        g.state = apply_on_qubits(g.state, op, [g.local(q) for q in targets])
-
-    def _groups(self):
-        """Each distinct group once, in order of its lowest qubit."""
-        return {id(g): g for g in self.owner}.values()
-
-    def copy(self) -> DenseGroups:
-        """An independent copy: one new group per group, each array copied once."""
-        new = object.__new__(DenseGroups)
-        copies = {id(g): _Group(list(g.qubits), g.state.copy()) for g in self._groups()}
-        new.owner = [copies[id(g)] for g in self.owner]
-        return new
-
-    def prob_zero(self, qubit: int) -> float:
-        g = self.owner[qubit]
-        return st.prob_zero(g.state, g.local(qubit))
-
-    def collapse(self, qubit: int, outcome: int):
-        g = self.owner[qubit]
-        g.state = st.collapse(g.state, g.local(qubit), outcome)
-
-    def trace(self) -> float:
-        """The norm squared of the state, or its trace: the product over the groups."""
-        return float(np.prod([np.real(np.vdot(g.state, g.state) if g.state.ndim == 1
-                                      else np.trace(g.state)) for g in self._groups()]))
-
-    def export(self):
-        """Merge the groups in order of their lowest qubit, reorder once, and validate."""
-        full = functools.reduce(_merge_groups, self._groups())
-        state = st.to_qubit_order(full.state, full.qubits)
-        n = len(full.qubits)
-        if state.ndim == 1:
-            return PureState(n, state)
-        return DensityMatrix(n, st.hermitize(state))
-
-
-# ---------------------------------------------------------------------------
 # repeated sampling
 # ---------------------------------------------------------------------------
 
@@ -428,7 +345,7 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     draws = _shot_draws(config.seed, range(shots), _measurements(steps))
     counts, first = {}, {}
     for leaf, clbits, hits in _execute(backend, steps, draws, circuit.num_clbits):
-        if not abs(leaf.trace() - 1.0) <= st.NORM_ATOL:
+        if not abs(leaf.trace() - 1.0) <= NORM_ATOL:
             raise ValueError(f"leaf state has trace {leaf.trace()}, expected 1")
         key = "".join(str(b) for b in reversed(clbits))
         counts[key] = counts.get(key, 0) + len(hits)

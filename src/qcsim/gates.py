@@ -1,5 +1,4 @@
-"""Standard gate library: the gate tables, the Liouville builder and the
-axis-local kernel applying them.
+"""Standard gate library: the gate tables and the Liouville builder.
 
 Two tables hold the library. `_FIXED_GATES` has each fixed gate, whose
 arity comes from the size of its matrix; `_ROTATIONS` has each rotation's
@@ -13,7 +12,8 @@ textbook matrix with basis order |control target>.
 Every superoperator comes from one builder, `liouville`: a gate's step on a
 density matrix applies `liouville((U,))` (`step_operator`), and a noise
 channel's step applies `liouville` of its Kraus operators
-(`noise.NoiseChannel`).
+(`noise.NoiseChannel`). This module is gate algebra only: the kernel that
+contracts an operator into a raw state is `state.apply_local`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .state import bit_axes
 
 UNITARY_ATOL = 1e-12
 
@@ -129,41 +127,6 @@ def make_gate(name: str, params=()) -> Gate:
     if name in _FIXED_GATES:
         return _FIXED_GATES[name]
     return Gate(name, arity, params, _ROTATIONS[name][0](*params))
-
-
-def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
-    """Contract a 2^k x 2^k operator into `tensor` on the bit axes `axes`.
-
-    Bit axis 0 is the most significant bit of the C-order index; axes[0]
-    carries the operator's most significant local bit. Runs of other bits
-    stay merged, as numpy copies many length-2 axes in tiny inner loops.
-    One transpose brings the target axes to the front, one matmul applies
-    the operator, and one transpose puts the axes back.
-    """
-    shape, where, start = [], {}, 0
-    for a in sorted(axes):
-        shape += [2 ** (a - start), 2]
-        where[a] = len(shape) - 1
-        start = a + 1
-    shape.append(tensor.size // 2**start)
-    order = [where[a] for a in axes]
-    order += [i for i in range(len(shape)) if i not in order]
-    front = tensor.reshape(shape).transpose(order)
-    out = np.matmul(mat, front.reshape(len(mat), -1)).reshape(front.shape)
-    back = [0] * len(order)
-    for i, axis in enumerate(order):
-        back[axis] = i
-    return out.transpose(back).reshape(tensor.shape)
-
-
-def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
-    """Contract `op` into a raw state on the axes of `targets`, in one pass.
-
-    The axes are those of `state.bit_axes`; on a density matrix, `op` is a
-    superoperator on the rows then the columns (`step_operator`).
-    """
-    n = state.shape[0].bit_length() - 1
-    return apply_local(state, op, bit_axes(n, targets, state.ndim))
 
 
 def liouville(ops) -> np.ndarray:

@@ -68,6 +68,9 @@ _VALUE_KINDS = {"ID": "an identifier", "INT": "an integer", "REAL": "a real numb
                 "STRING": "a string"}
 # each register keyword, as errors name the kind of register it declares
 _REGISTER_KINDS = {"qreg": "quantum", "creg": "classical"}
+# the words that open a statement other than a gate application; none can
+# be conditioned
+_STATEMENT_KEYWORDS = ("include", "qreg", "creg", "barrier", "measure", "if", "gate", "opaque")
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # levels of unary minus and parentheses allowed in one parameter expression
 MAX_NESTING = 100
@@ -246,7 +249,7 @@ class _Parser:
             self.error("only comparisons of a 1-bit register against 0 or 1 are supported",
                        SEMANTIC, value_tok)
         tok = self.peek()
-        if tok[1] in ("measure", "if", "barrier") or tok[0] != "ID":
+        if tok[1] in _STATEMENT_KEYWORDS or tok[0] != "ID":
             self.error("only gate applications can be conditioned", SEMANTIC, tok)
         self.gate_statement(self.next(), condition=(offset, value))
 

@@ -1,4 +1,4 @@
-"""Quantum state representations and the operations shared by every engine.
+"""Quantum states, and the one module that addresses a dense raw array.
 
 Two representations are supported: a pure state as a complex amplitude
 vector of length 2^n, and a mixed state as a 2^n x 2^n density matrix.
@@ -8,15 +8,20 @@ with the right-hand bit belonging to qubit 0.
 
 `PureState` and `DensityMatrix` are the validated states a run returns:
 their invariants are checked once, where a state leaves an engine. The
-engines carry raw numpy arrays between those checks, and the functions
-here that take a raw `state` (`prob_zero`, `collapse`, `to_qubit_order`)
-work on a vector and a density matrix alike. The full-register
-reference algebra (embedding, partial trace, |psi><psi|) is a test
-oracle and lives with the tests.
+engines carry raw numpy arrays between those checks, and every function
+here that takes a raw `state` works on a vector and a density matrix
+alike. The layout of those arrays is known here only: the bit axes of a
+qubit (`bit_axes`), the axis-local kernel that contracts an operator into
+them (`apply_local`), measurement (`prob_zero`, `collapse`), the export's
+reorder (`to_qubit_order`), and the dense backend that the `simple` and
+`depth` engines drive (`DenseGroups`). The full-register reference
+algebra (embedding, partial trace, |psi><psi|) is a test oracle and lives
+with the tests.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +102,31 @@ def bit_axes(num_qubits: int, qubits, ndim: int) -> list:
     return axes + [num_qubits + a for a in axes] if ndim == 2 else axes
 
 
+def apply_local(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """Contract a 2^k x 2^k operator into `tensor` on the bit axes `axes`.
+
+    Bit axis 0 is the most significant bit of the C-order index; axes[0]
+    carries the operator's most significant local bit. Runs of other bits
+    stay merged, as numpy copies many length-2 axes in tiny inner loops.
+    One transpose brings the target axes to the front, one matmul applies
+    the operator, and one transpose puts the axes back.
+    """
+    shape, where, start = [], {}, 0
+    for a in sorted(axes):
+        shape += [2 ** (a - start), 2]
+        where[a] = len(shape) - 1
+        start = a + 1
+    shape.append(tensor.size // 2**start)
+    order = [where[a] for a in axes]
+    order += [i for i in range(len(shape)) if i not in order]
+    front = tensor.reshape(shape).transpose(order)
+    out = np.matmul(mat, front.reshape(len(mat), -1)).reshape(front.shape)
+    back = [0] * len(order)
+    for i, axis in enumerate(order):
+        back[axis] = i
+    return out.transpose(back).reshape(tensor.shape)
+
+
 def to_qubit_order(state: np.ndarray, qubits) -> np.ndarray:
     """Reorder a raw vector or density matrix whose bit j holds qubits[j] so bit q holds q.
 
@@ -146,19 +176,100 @@ def prob_zero(state: np.ndarray, qubit: int) -> float:
 def collapse(state: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
     """Project a raw state onto `qubit` = outcome and renormalize, unvalidated."""
     kept = np.zeros_like(state)
-    src, dst = _halves(state, qubit), _halves(kept, qubit)
-    if state.ndim == 1:
-        dst[:, outcome] = src[:, outcome]
-        kept /= np.linalg.norm(kept)
-    else:
-        dst[:, outcome, :, outcome] = src[:, outcome, :, outcome]
-        kept /= np.real(np.trace(kept))
+    kept_bit = (slice(None), outcome) * state.ndim  # the bit's row, and its column
+    _halves(kept, qubit)[kept_bit] = _halves(state, qubit)[kept_bit]
+    kept /= np.linalg.norm(kept) if state.ndim == 1 else np.real(np.trace(kept))
     return kept
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """Scrub roundoff so the DensityMatrix invariants see a clean matrix."""
     return (mat + mat.conj().T) / 2
+
+
+@dataclass
+class _Group:
+    """An independent block of qubits with its own small raw state.
+
+    qubits are kept in merge order, unsorted; qubits[j] occupies local bit j.
+    """
+
+    qubits: list
+    state: np.ndarray
+
+    def local(self, qubit: int) -> int:
+        return self.qubits.index(qubit)
+
+
+def _merge_groups(a: _Group, b: _Group) -> _Group:
+    """One group of both, with a's qubits on the low local bits; nothing moves."""
+    return _Group(a.qubits + b.qubits, np.kron(b.state, a.state))
+
+
+class DenseGroups:
+    """Dense backend: raw state vectors or density matrices over qubit groups.
+
+    Each group holds the state of its qubits, unentangled with the other
+    groups; a two-qubit gate that spans two groups merges them first, and
+    no merge moves a qubit. Started from one group per qubit (the depth
+    engine), unentangled qubits stay factored; started from one group of all
+    qubits (the simple engine), every gate is contracted into the full state.
+    `representation` is "wave" or "density". States are carried
+    unvalidated, and `export` reorders and checks once.
+    """
+
+    def __init__(self, blocks, representation: str):
+        self.owner = [None] * sum(map(len, blocks))  # owner[q]: the group of q
+        for qubits in blocks:  # each in |0...0>
+            d = 2 ** len(qubits)
+            g = _Group(qubits, np.zeros(d if representation == "wave" else (d, d), np.complex128))
+            g.state.flat[0] = 1.0
+            for q in qubits:
+                self.owner[q] = g
+
+    def apply(self, op, targets):
+        """Contract `op` into the group of `targets` on their axes: on a density
+        matrix, a superoperator on the rows then the columns."""
+        g = self.owner[targets[0]]
+        if len(targets) == 2 and self.owner[targets[1]] is not g:
+            g = _merge_groups(g, self.owner[targets[1]])
+            for q in g.qubits:
+                self.owner[q] = g
+        axes = bit_axes(len(g.qubits), [g.local(q) for q in targets], g.state.ndim)
+        g.state = apply_local(g.state, op, axes)
+
+    def _groups(self):
+        """Each distinct group once, in order of its lowest qubit."""
+        return {id(g): g for g in self.owner}.values()
+
+    def copy(self) -> DenseGroups:
+        """An independent copy: one new group per group, each array copied once."""
+        new = object.__new__(DenseGroups)
+        copies = {id(g): _Group(list(g.qubits), g.state.copy()) for g in self._groups()}
+        new.owner = [copies[id(g)] for g in self.owner]
+        return new
+
+    def prob_zero(self, qubit: int) -> float:
+        g = self.owner[qubit]
+        return prob_zero(g.state, g.local(qubit))
+
+    def collapse(self, qubit: int, outcome: int):
+        g = self.owner[qubit]
+        g.state = collapse(g.state, g.local(qubit), outcome)
+
+    def trace(self) -> float:
+        """The norm squared of the state, or its trace: the product over the groups."""
+        return float(np.prod([np.real(np.vdot(g.state, g.state) if g.state.ndim == 1
+                                      else np.trace(g.state)) for g in self._groups()]))
+
+    def export(self):
+        """Merge the groups in order of their lowest qubit, reorder once, and validate."""
+        full = functools.reduce(_merge_groups, self._groups())
+        state = to_qubit_order(full.state, full.qubits)
+        n = len(full.qubits)
+        if state.ndim == 1:
+            return PureState(n, state)
+        return DensityMatrix(n, hermitize(state))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Full-register reference algebra: the test oracles for the engines' kernels.
 
 The engines contract each operator into a raw state on its target axes
-only (`gates.apply_on_qubits`). The functions here build the 2^n x 2^n
+only (`state.apply_local`; `apply_on_qubits` here names the axes by
+qubit). The functions here build the 2^n x 2^n
 matrices and reduced states that the tests check those kernels against,
 and `mps_vector`, the site-by-site contraction that the MPS export is
 checked against. The library does not import this module.
@@ -9,7 +10,14 @@ checked against. The library does not import this module.
 
 import numpy as np
 
-from qcsim.state import DensityMatrix, PureState, to_qubit_order
+from qcsim.state import DensityMatrix, PureState, apply_local, bit_axes, to_qubit_order
+
+
+def apply_on_qubits(state: np.ndarray, op: np.ndarray, targets) -> np.ndarray:
+    """Contract `op` into a raw state on the axes of `targets` (`state.bit_axes`);
+    on a density matrix, `op` is a superoperator on the rows then the columns."""
+    n = state.shape[0].bit_length() - 1
+    return apply_local(state, op, bit_axes(n, targets, state.ndim))
 
 
 def zero_density(num_qubits: int) -> DensityMatrix:

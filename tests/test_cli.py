@@ -66,6 +66,9 @@ NOISE_CONFIG_ERRORS = [
      "global has an unknown key 'slot'"),
     ({"overrides": [{"instruction": 0, "slot": 0, "kind": "dephasing", "epsilon": 0.1,
                      "epsilom": 0.2}]}, "override 0 has an unknown key 'epsilom'"),
+    # an index field that is not an integer is named
+    ({"overrides": [{"instruction": "0", "slot": 0, "kind": "dephasing", "epsilon": 0.1}]},
+     "override 0 instruction must be an integer, got '0'"),
 ]
 
 # The message of each bad input file whose wording is pinned.
@@ -102,6 +105,9 @@ BAD_INPUT_MESSAGES = {
     "misspelt_noise.json": "instruction 0 has an unknown key 'nosie'",
     "measure_targets.json": "instruction 0 has an unknown key 'targets'",
     "noise_entry_key.json": "global_noise slot 0 has an unknown key 'epsilom'",
+    "null_num_clbits.json": "num_clbits must be an integer, got None",
+    "string_measure_qubit.json": "qubit must be an integer, got '0'",
+    "null_target.json": "target must be an integer, got None",
 }
 
 
@@ -371,6 +377,12 @@ class TestRun:
                                  b' "measure", "qubit": 0, "clbit": 0, "targets": [0]}]}'),
         ("noise_entry_key.json", b'{"num_qubits": 1, "instructions": [], "global_noise": {"0":'
                                  b' {"kind": "dephasing", "epsilon": 0.1, "epsilom": 0.2}}}'),
+        # an integer field that holds no integer is named
+        ("null_num_clbits.json", b'{"num_qubits": 1, "num_clbits": null, "instructions": []}'),
+        ("string_measure_qubit.json", b'{"num_qubits": 1, "num_clbits": 1, "instructions":'
+                                      b' [{"kind": "measure", "qubit": "0", "clbit": 0}]}'),
+        ("null_target.json", b'{"num_qubits": 1, "instructions": [{"kind": "gate", "name": "X",'
+                             b' "targets": [null]}]}'),
     ])
     def test_bad_input_file_exits_1(self, tmp_path, capsys, name, data):
         path = tmp_path / name

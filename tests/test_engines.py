@@ -19,11 +19,11 @@ from qcsim.circuit import (
 from oracles import gate_tensor_on, mps_vector, pure_to_density
 from qcsim import engines
 from qcsim import state as st
-from qcsim.engines import ConfigError, DenseGroups, RunConfig, run, run_shots
+from qcsim.engines import ConfigError, RunConfig, run, run_shots
 from qcsim.gates import make_gate, step_operator
 from qcsim.mps import BondOverflowError, MPSState
 from qcsim.noise import NoiseSpec
-from qcsim.state import DensityMatrix, PureState, fidelity
+from qcsim.state import DensityMatrix, DenseGroups, PureState, fidelity
 
 
 def h(q):

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import apply_on_qubits
 from test_engines import _shot_circuits, cx, h, ry, x
 from test_noise import per_gate_formula
 from qcsim import engines
@@ -27,8 +28,9 @@ from qcsim.circuit import (
     random_circuit,
 )
 from qcsim.engines import RunConfig, run, run_shots
-from qcsim.gates import Gate, apply_on_qubits, make_gate, step_operator
+from qcsim.gates import Gate, make_gate, step_operator
 from qcsim.noise import NoiseSpec, channel_from_kind
+from qcsim.state import apply_local
 
 KINDS = ("dephasing", "depolarizing", "amplitude_damping")
 
@@ -224,6 +226,28 @@ def test_trailing_runs_fold_into_the_last_two_qubit_step():
                                      RunConfig(representation=repr_))
         assert [ins for ins, _ in steps] == [cx01]
         assert np.allclose(steps[0][1], step_operator(after, density), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("density", [False, True])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_a_run_folds_on_the_right_as_the_transposed_contraction(density, slot):
+    """op @ E(R), for the run R on one slot of a 2-qubit step, equals bit for
+    bit the reference that contracts R^T into op^T on its row axes."""
+    rng = np.random.default_rng(2 * slot + density)
+    rows = [slot, 2 + slot][:1 + density]
+    for _ in range(20):
+        run_gates = [gate_app(make_gate("U3", rng.uniform(0, 2 * np.pi, 3)), (slot,))
+                     for _ in range(3)]
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        two = gate_app(Gate("random", 2, (), np.linalg.qr(a)[0]), (0, 1))
+        steps, _ = engines._schedule(Circuit(2, 0, [*run_gates, two]),
+                                     RunConfig(representation="density" if density else "wave"))
+        assert [ins for ins, _ in steps] == [two]
+        run_op = step_operator(run_gates[0].gate, density)
+        for ins in run_gates[1:]:
+            run_op = step_operator(ins.gate, density) @ run_op
+        op = step_operator(two.gate, density)
+        assert np.array_equal(steps[0][1], apply_local(op.T, run_op.T, rows).T)
 
 
 def test_runs_after_a_barrier_are_not_folded_on_the_left():

@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gate_tensor_on
+from oracles import apply_on_qubits, gate_tensor_on
 from qcsim.gates import (
     GATE_SIGNATURES,
     UNITARY_ATOL,
     Gate,
-    apply_on_qubits,
     liouville,
     make_gate,
     step_operator,

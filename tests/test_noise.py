@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    apply_on_qubits,
     embed_operator,
     gate_tensor_on,
     partial_trace,
@@ -12,8 +13,8 @@ from oracles import (
 )
 from qcsim import engines
 from qcsim.circuit import Circuit, gate_app, measure
-from qcsim.engines import DenseGroups, RunConfig, run
-from qcsim.gates import apply_on_qubits, make_gate, step_operator
+from qcsim.engines import RunConfig, run
+from qcsim.gates import make_gate, step_operator
 from qcsim.noise import (
     COMPLETENESS_ATOL,
     NOISE_KINDS,
@@ -25,7 +26,7 @@ from qcsim.noise import (
     dephasing,
     depolarizing,
 )
-from qcsim.state import DensityMatrix, PureState
+from qcsim.state import DensityMatrix, DenseGroups, PureState
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 

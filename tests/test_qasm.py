@@ -283,6 +283,12 @@ class TestParseErrors:
          (3, 1, 'Semantic', 'gate definitions are not supported')),
         ('OPENQASM 3.0;\nqreg q[1];\n',
          (1, 10, 'Semantic', "unsupported OpenQASM version '3.0'")),
+        # no statement keyword can be conditioned
+        *[pytest.param(f'OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nif (c == 1) {keyword} r[1];\n',
+                       (4, 13, 'Semantic', 'only gate applications can be conditioned'),
+                       id=f"conditioned-{keyword}")
+          for keyword in ("include", "qreg", "creg", "barrier", "measure", "if", "gate",
+                          "opaque")],
     ])
     def test_error_positions_are_pinned(self, source, expected):
         err = self.check(source)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import partial_trace, pure_to_density, zero_density
-from qcsim.engines import _Group, _merge_groups
 from qcsim.state import (
     NORM_ATOL,
     DensityMatrix,
     MeasurementRecord,
     PureState,
+    _Group,
+    _halves,
+    _merge_groups,
     _psd_sqrt,
     collapse,
     fidelity,
@@ -121,7 +123,7 @@ class TestPureToDensity:
 
 
 class TestTensorProduct:
-    """`engines._merge_groups`: the tensor product the dense backend merges by."""
+    """`state._merge_groups`: the tensor product the dense backend merges by."""
 
     def test_zero_one(self):
         zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -244,6 +246,29 @@ class TestMeasureQubit:
         _, ones = sample_outcomes(prob_zero(rho, 0), np.array([0.3]))
         post = DensityMatrix(2, collapse(rho, 0, int(ones[0])))
         assert abs(np.trace(post.matrix) - 1.0) < 1e-10
+
+    @staticmethod
+    def two_branch_collapse(state, qubit, outcome):
+        """Reference: the projection written once per representation."""
+        kept = np.zeros_like(state)
+        src, dst = _halves(state, qubit), _halves(kept, qubit)
+        if state.ndim == 1:
+            dst[:, outcome] = src[:, outcome]
+            kept /= np.linalg.norm(kept)
+        else:
+            dst[:, outcome, :, outcome] = src[:, outcome, :, outcome]
+            kept /= np.real(np.trace(kept))
+        return kept
+
+    @pytest.mark.parametrize("num_qubits", range(1, 5))
+    def test_collapse_equals_the_two_branch_projection(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        for state in (random_pure(num_qubits, rng).amplitudes,
+                      random_density(num_qubits, rng).matrix):
+            for qubit in range(num_qubits):
+                for outcome in (0, 1):
+                    assert np.array_equal(collapse(state, qubit, outcome),
+                                          self.two_branch_collapse(state, qubit, outcome))
 
 
 class TestFidelity:

@@ -13,7 +13,14 @@ end, under each of its noise configs, and on `teleport.qasm` under each
 config without overrides (the overrides name instructions of the 7-qubit
 circuit, past the end of `teleport.qasm`). So does `run teleport.qasm`
 without `--shots` (its report holds measurement records) on every wave
-engine and on density `simple` and `depth`; one failing invocation of each
+engine and on density `simple` and `depth`. So do exports whose qubits
+end out of order, which no workload invocation makes: `run` on `depth`,
+wave and density, of `unordered.qasm` (a U3 layer, a CX from the last
+qubit to qubit 0, then a CX ladder and a U3 layer, so that the one group
+holds its qubits in merge order), and `run` on `mps` of `routed.qasm` (a
+brickwork circuit, then CX gates between qubits q and n-1-q, whose SWAPs
+leave the chain's sites out of qubit order), at each seed, with angles
+drawn at that seed. So do one failing invocation of each
 subcommand (`FAILING`), with and without `--out`; `run` on each program
 of `MALFORMED`, a corpus of malformed QASM with one program per message
 of the parser's errors (lex, syntax and semantic), at the first seed only,
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -77,6 +85,7 @@ MALFORMED = {
     "semantic-measure-sizes": _HEADER + "measure q -> c;\n",
     "semantic-condition": _HEADER + "if (c == 2) x q[0];\n",
     "semantic-conditioned": _HEADER + "if (c == 1) measure q[0] -> c[0];\n",
+    "semantic-conditioned-keyword": _HEADER + "if (c == 1) creg d[1];\n",
     "semantic-gate": _HEADER + "ccx q[0],q[1],q[1];\n",
     "semantic-parameter-count": _HEADER + "u2(1) q[0];\n",
     "semantic-non-finite": _HEADER + "rx(1e999-1e999) q[0];\n",
@@ -86,6 +95,8 @@ MALFORMED = {
     "semantic-broadcast": _HEADER + "qreg r[3];\ncx q,r;\n",
     "semantic-distinct": _HEADER + "cx q[1],q[1];\n",
 }
+# the widths of the circuits whose exports reorder qubits (`out_of_order`)
+UNORDERED_QUBITS, ROUTED_QUBITS = 5, 8
 # one fresh interpreter per invocation: qcsim imported from the tree given
 # first, then the CLI's main called with the rest of the arguments
 _RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from qcsim.cli import main; "
@@ -121,6 +132,7 @@ def invocations(seed: int, inputs: Path) -> list:
                           ("simple", "density"), ("depth", "density")):
         argvs.append(["run", "teleport.qasm", "--engine", engine, "--repr", repr_,
                       "--seed", str(seed), "--out", f"teleport-{engine}-{repr_}.json"])
+    argvs += out_of_order(seed, inputs)
     for i, argv in enumerate(FAILING):
         argvs += [argv, [*argv, "--out", f"failing-{i}.out"]]
     for name, source in MALFORMED.items() if seed == SEEDS[0] else ():
@@ -128,6 +140,26 @@ def invocations(seed: int, inputs: Path) -> list:
         argvs.append(["run", f"malformed-{name}.qasm"])
     return argvs + [["--help"]] + [[command, "--help"] for command in
                                    ("run", "random", "bench", "noise-sweep")]
+
+
+def out_of_order(seed: int, inputs: Path) -> list:
+    """The `run` invocations whose exports reorder qubits; writes their circuits."""
+    rng, u3 = random.Random(f"out-of-order/{seed}"), {"u3": 3}
+    n = UNORDERED_QUBITS
+    ladder = [workloads.Op("cx", (n - 1, 0))] + [workloads.Op("cx", (q, q + 1))
+                                                 for q in range(n - 2)]
+    unordered = workloads.brickwork(rng, n, 1, u3) + ladder + workloads.brickwork(rng, n, 1, u3)
+    n = ROUTED_QUBITS
+    routed = workloads.brickwork(rng, n, 5, u3) + [workloads.Op("cx", (q, n - 1 - q))
+                                                   for q in range(n // 4)]
+    routed += workloads.brickwork(rng, n, 1, u3)
+    for name, num_qubits, ops in (("unordered", UNORDERED_QUBITS, unordered),
+                                  ("routed", ROUTED_QUBITS, routed)):
+        circuit = workloads.Circuit(num_qubits, 0, ops)
+        (inputs / f"{name}.qasm").write_text(workloads.to_qasm(circuit), encoding="utf-8")
+    return [["run", "unordered.qasm", "--engine", "depth", "--repr", repr_,
+             "--out", f"unordered-{repr_}.json"] for repr_ in ("wave", "density")] + [
+        ["run", "routed.qasm", "--engine", "mps", "--out", "routed-mps.json"]]
 
 
 def outcome(src: Path, argv: list, workdir: Path) -> tuple:

@@ -28,7 +28,13 @@ tracemalloc peak of a `run` report's JSON text joined into one string
 piece by piece without keeping it, as `run` writes it: the joined peak is
 about twice the text (the pieces and the string), the streamed one is
 what the encoder itself holds. This is the only per-layer view of state
-encoding, which perfbench sees only inside `cli.serialize_s`.
+encoding, which perfbench sees only inside `cli.serialize_s`. Last, the
+dense kernel alone: the time of one step through the `simple` backend's
+`apply` (`engines._backend`), for an RX step on each target bit of
+`KERNEL_BITS` of a 20-qubit vector (the best over the repetitions of the
+mean of 5 steps), and for a 4 x 4 step on qubits 3 and 6 of a 10-qubit
+vector (the best of the mean of 2,000 steps). Only `_backend` and `apply`
+are called, so the section times any commit's kernel the same way.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ PARSE_DEPTHS = (50, 400)  # of 20-qubit random circuits, seed 1
 EXPORT_QUBITS = (16, 20)
 SHOTS = {"qubits": 12, "depth": 10, "shots": 1000}  # a measure-all circuit, seed 1
 SERIALIZE = [("wave", 16), ("wave", 17), ("density", 7), ("density", 9)]  # seed 1
+KERNEL_BITS = (0, 2, 5, 7, 8, 10, 15, 19)  # RX targets on a 20-qubit vector
 
 
 def best_time(fn, reps: int) -> float:
@@ -88,6 +95,17 @@ def export_chain(qubits: int, routed: bool) -> MPSState:
     for q in range(qubits // 4 if routed else 0):
         chain.apply_2q(cx, q, qubits - 1 - q)
     return chain
+
+
+def step_time(qubits: int, op: np.ndarray, targets, steps: int, reps: int) -> float:
+    """The best over `reps` of the mean time of `steps` applications of `op`
+    on `targets` through the `simple` backend of a `qubits`-qubit vector."""
+    backend = engines._backend(Circuit(qubits), RunConfig())
+
+    def apply_steps():
+        for _ in range(steps):
+            backend.apply(op, targets)
+    return best_time(apply_steps, reps) / steps
 
 
 def peak(fn) -> int:
@@ -170,6 +188,13 @@ def main(argv=None) -> None:
         joined = peak(lambda: "".join(report_pieces(kind, state))) / 2**20
         streamed = peak(lambda: deque(report_pieces(kind, state), maxlen=0)) / 2**20
         print(f"{kind},{qubits},{state.size},{best:.4f},{joined:.2f},{streamed:.2f}")
+    print("\nkernel: one RX step on a 20-qubit vector; target_bit,best_ms")
+    rx = make_gate("RX", [0.3]).matrix
+    for bit in KERNEL_BITS:
+        print(f"{bit},{step_time(20, rx, (bit,), 5, args.reps) * 1e3:.2f}")
+    op = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)) + 0j)[0]
+    best = step_time(10, op, (3, 6), 2000, args.reps)
+    print(f"kernel: one 4 x 4 step on qubits 3 and 6 of a 10-qubit vector; best_us\n{best * 1e6:.1f}")
 
 
 if __name__ == "__main__":

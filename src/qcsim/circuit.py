@@ -33,16 +33,15 @@ RANDOM_1Q_POOL = ("H", "X", "Y", "Z", "S", "T", "RX", "RY", "RZ")
 
 
 def as_index(value, name: str) -> int:
-    """`value`, the field `name`, as an int, by `operator.index`; a bool is
-    refused, as a JSON true or false is no count, qubit or bit. Any other
-    value that is not an integer is refused with a TypeError naming the
-    field."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value} is not an integer")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    """`value`, the field `name`, as an int, by `operator.index`. A value
+    that is not an integer is refused with a TypeError naming the field, and
+    so is a bool, as a JSON true or false is no count, qubit or bit."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

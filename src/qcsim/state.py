@@ -7,7 +7,11 @@ the package, so for two qubits the basis order is |00>, |01>, |10>, |11>
 with the right-hand bit belonging to qubit 0.
 
 `PureState` and `DensityMatrix` are the validated states a run returns:
-their invariants are checked once, where a state leaves an engine. The
+their invariants are checked once, where a state leaves an engine, and
+each invariant has its type as its one owner. `DensityMatrix` checks the
+matrix it is given, engine output included, against Hermiticity, then
+stores its Hermitian part, whose trace and spectrum it checks; `fidelity`
+takes that PSD property as given and checks nothing again. The
 engines carry raw numpy arrays between those checks, and every function
 here that takes a raw `state` works on a vector and a density matrix
 alike. The layout of those arrays is known here only: the bit axes of a
@@ -53,7 +57,11 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state rho: Hermitian, positive semidefinite, trace one."""
+    """Mixed state rho: Hermitian, positive semidefinite, trace one.
+
+    A matrix Hermitian within NORM_ATOL is stored as its Hermitian part,
+    (rho + rho^H) / 2, and an exactly Hermitian one as it is.
+    """
 
     num_qubits: int
     matrix: np.ndarray
@@ -67,6 +75,7 @@ class DensityMatrix:
             raise ValueError(f"expected {d}x{d} matrix, got shape {mat.shape}")
         if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:
             raise ValueError("density matrix is not Hermitian")
+        mat = (mat + mat.conj().T) / 2
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= NORM_ATOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
@@ -182,11 +191,6 @@ def collapse(state: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
     return kept
 
 
-def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Scrub roundoff so the DensityMatrix invariants see a clean matrix."""
-    return (mat + mat.conj().T) / 2
-
-
 @dataclass
 class _Group:
     """An independent block of qubits with its own small raw state.
@@ -266,30 +270,15 @@ class DenseGroups:
         """Merge the groups in order of their lowest qubit, reorder once, and validate."""
         full = functools.reduce(_merge_groups, self._groups())
         state = to_qubit_order(full.state, full.qubits)
-        n = len(full.qubits)
-        if state.ndim == 1:
-            return PureState(n, state)
-        return DensityMatrix(n, hermitize(state))
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition.
-
-    Eigenvalues below -1e-10 are an invariant violation; small negative
-    values from roundoff are clamped to zero.
-    """
-    eigs, vecs = np.linalg.eigh(mat)
-    if not eigs.min() >= -NORM_ATOL:
-        raise ValueError(f"matrix is not PSD: eigenvalue {eigs.min()}")
-    eigs = np.clip(eigs, 0.0, None)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
+        return (PureState if state.ndim == 1 else DensityMatrix)(len(full.qubits), state)
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Mixed-state fidelity F = (tr sqrt(sqrt(B) A sqrt(B)))^2."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("density matrices must have the same dimension")
-    sqrt_b = _psd_sqrt(b.matrix)
+    eigs, vecs = np.linalg.eigh(b.matrix)  # b is PSD; roundoff negatives are clamped
+    sqrt_b = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     inner = sqrt_b @ a.matrix @ sqrt_b
     eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     # Roundoff turns structurally-zero eigenvalues into ~1e-16 junk whose

@@ -57,9 +57,9 @@ NOISE_CONFIG_ERRORS = [
      "override 1 is not a JSON object"),
     # a JSON true or false is not an index: not instruction 1 (the cx), nor slot 0
     ({"overrides": [{"instruction": True, "slot": 0, "kind": "dephasing", "epsilon": 0.1}]},
-     "True is not an integer"),
+     "override 0 instruction must be an integer, got True"),
     ({"overrides": [{"instruction": 0, "slot": False, "kind": "dephasing", "epsilon": 0.1}]},
-     "False is not an integer"),
+     "override 0 slot must be an integer, got False"),
     # a key that the reader does not read is refused, not ignored
     ({"glob": {"kind": "dephasing", "epsilon": 0.1}}, "the top level has an unknown key 'glob'"),
     ({"global": {"kind": "dephasing", "epsilon": 0.1, "slot": 0}},
@@ -81,11 +81,11 @@ BAD_INPUT_MESSAGES = {
     "zero_qubits.json": "num_qubits must be >= 1",
     "negative_clbits.json": "num_clbits must be >= 0",
     "condition_value.json": "condition value must be 0 or 1",
-    "bool_num_qubits.json": "True is not an integer",
-    "bool_num_clbits.json": "False is not an integer",
-    "bool_target.json": "False is not an integer",
-    "bool_condition.json": "True is not an integer",
-    "bool_measure.json": "False is not an integer",
+    "bool_num_qubits.json": "num_qubits must be an integer, got True",
+    "bool_num_clbits.json": "num_clbits must be an integer, got False",
+    "bool_target.json": "target must be an integer, got False",
+    "bool_condition.json": "condition bit must be an integer, got True",
+    "bool_measure.json": "qubit must be an integer, got False",
     "bool_angle.json": "gate RX: parameter True is not a real number",
     "string_angle.json": "gate RX: parameter '1.5' is not a real number",
     "toplevel.json": "the top level is not a JSON object",

@@ -23,7 +23,7 @@ from qcsim.engines import ConfigError, RunConfig, run, run_shots
 from qcsim.gates import make_gate, step_operator
 from qcsim.mps import BondOverflowError, MPSState
 from qcsim.noise import NoiseSpec
-from qcsim.state import DensityMatrix, DenseGroups, PureState, fidelity
+from qcsim.state import NORM_ATOL, DensityMatrix, DenseGroups, PureState, fidelity
 
 
 def h(q):
@@ -340,8 +340,8 @@ def test_check_run_counts_what_the_export_holds(engine, representation, kind, n,
     run's steps, where `simple` and `depth` hold `apply_local`'s two
     temporaries besides the state, and the states the backend holds plus
     the tracemalloc peak of its export: the reordered copy of `depth` and
-    of a routed `mps` chain, and the three matrices of a density export's
-    hermitize and checks."""
+    of a routed `mps` chain, and the matrices that `DensityMatrix`
+    allocates to check a density export and store its Hermitian part."""
     circuit = (_routed_circuit(np.random.default_rng(3), n) if kind == "routed" else
                _unordered_circuit(n) if kind == "unordered" else random_circuit(n, 6, 1))
     config = RunConfig(engine=engine, representation=representation)
@@ -870,6 +870,22 @@ def test_dense_trace_is_the_product_over_groups(representation):
         backend.apply(2 * op, ins.targets)  # scales the norm squared, or the trace, by 4 or 2
     assert len(set(map(id, backend.owner))) == 3
     assert backend.trace() == pytest.approx(64.0 if not density else 8.0)
+
+
+@pytest.mark.parametrize("off", [0.05, 0.5e-10])
+def test_dense_export_checks_the_groups_own_matrix(off):
+    """A density export more than NORM_ATOL off Hermitian is refused, not
+    averaged into a Hermitian one; one within it is exported Hermitian."""
+    backend = DenseGroups([[0, 1]], "density")
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho[0, 3], rho[3, 0] = 0.05 + off, 0.05
+    backend.owner[0].state = rho
+    if off > NORM_ATOL:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            backend.export()
+    else:
+        exported = backend.export().matrix
+        assert np.array_equal(exported, exported.conj().T)
 
 
 def _snapshot(backend):

@@ -12,7 +12,6 @@ from qcsim.state import (
     _Group,
     _halves,
     _merge_groups,
-    _psd_sqrt,
     collapse,
     fidelity,
     prob_zero,
@@ -97,13 +96,15 @@ class TestInvariants:
                 DensityMatrix(1, np.diag(diag))
 
     def test_rejects_negative_eigenvalues(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(1, np.diag([1.5, -0.5]))
+        for diag in ([1.5, -0.5], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                DensityMatrix(1, np.diag(diag))
 
-    @pytest.mark.parametrize("diag", [[1.5, -0.5], [np.nan, 1.0]])
-    def test_psd_sqrt_rejects_negative_or_nan_eigenvalues(self, diag):
-        with pytest.raises(ValueError, match="not PSD"):
-            _psd_sqrt(np.diag(diag))
+    def test_stores_an_exactly_hermitian_matrix_as_given(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 5):
+            rho = pure_to_density(random_pure(n, rng)).matrix  # scrubbed: exactly Hermitian
+            assert DensityMatrix(n, rho).matrix.tobytes() == rho.tobytes()
 
 
 class TestPureToDensity:
@@ -295,6 +296,24 @@ class TestFidelity:
         for _ in range(10):
             a, b = random_density(2, rng), random_density(2, rng)
             assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-9
+
+    def test_matches_a_separate_psd_square_root_bit_for_bit(self):
+        def reference(a, b):
+            """F with sqrt(B) from its own eigendecomposition, refused below
+            -NORM_ATOL and clamped at 0, as a separate helper computed it."""
+            eigs, vecs = np.linalg.eigh(b)
+            assert eigs.min() >= -NORM_ATOL
+            sqrt_b = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+            inner = sqrt_b @ a @ sqrt_b
+            eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+            eigs[eigs < eigs.max() * 1e-13] = 0.0
+            return float(np.sum(np.sqrt(eigs)) ** 2)
+
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                a, b = random_density(n, rng), random_density(n, rng)
+                assert fidelity(a, b) == reference(a.matrix, b.matrix)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

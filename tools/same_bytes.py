@@ -1,6 +1,6 @@
 """Check that the CLI of this checkout writes the same bytes as that of REV.
 
-    python tools/same_bytes.py REV
+    python tools/same_bytes.py REV [--atol X]
 
 It exports REV's `src/` with `git archive` into a temporary directory, and
 writes the inputs of the benchmark workloads `dense` and `mps-shots` at
@@ -29,11 +29,21 @@ of each subcommand.
 For each invocation the exit code, stdout, stderr and the `--out` file
 (its bytes, or that it was not written) are compared. Each difference is
 printed, then the count; the status is 1 if there is any difference, else 0.
+
+With `--atol X`, a stdout or `--out` file that holds a `run` report with a
+final state on both trees is parsed, not byte-compared: the amplitudes or
+matrix entries of `final_state` and the `probability` of each measurement
+agree if each real and imaginary part differs by at most X, and the
+largest difference is printed for each such invocation. The rest of the
+report (the state's kind and shape, classical bits, measurement qubits,
+bits and outcomes, `layers_executed`) must be equal, and everything else
+(exit codes, stderr, `--shots` counts, other output) is byte-compared.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import shutil
@@ -45,11 +55,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("dense", "mps-shots")
 SEEDS = (1, 2)
 FIELDS = ("exit code", "stdout", "stderr", "--out file")  # what `outcome` returns
+REPORTS = ("stdout", "--out file")  # the fields that can hold a `run` report
 # invocations that exit 2, one or more per subcommand: a bad size, depth
 # list, epsilon and shot count, noise on the wave representation, MPS with
 # a density matrix
@@ -173,9 +185,32 @@ def outcome(src: Path, argv: list, workdir: Path) -> tuple:
             out.read_bytes() if out and out.exists() else None)
 
 
+def report_deviation(a: bytes | None, b: bytes | None) -> float | None:
+    """The largest absolute difference between the final-state entries and
+    the measurement probabilities of two `run` reports, or None if either is
+    not a `run` report with a final state, or if the rest of them differs."""
+    try:
+        docs = [json.loads(text) for text in (a, b)]
+    except (TypeError, ValueError):  # not written, or not JSON
+        return None
+    numbers = []
+    for doc in docs:
+        if not isinstance(doc, dict) or "final_state" not in doc:
+            return None
+        state = doc["final_state"]
+        entries = np.ravel(state.pop("amplitudes" if state["kind"] == "wave" else "matrix"))
+        probabilities = [m.pop("probability") for m in doc["measurements"]]
+        numbers.append(np.concatenate([entries, probabilities]))
+    if docs[0] != docs[1] or numbers[0].shape != numbers[1].shape:
+        return None
+    return float(np.max(np.abs(numbers[0] - numbers[1]), initial=0.0))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision to compare against")
+    parser.add_argument("--atol", type=float, help="compare the states and probabilities "
+                        "of `run` reports within this absolute tolerance")
     args = parser.parse_args(argv)
     scratch = Path(tempfile.mkdtemp(prefix="same-bytes-"))
     try:
@@ -190,7 +225,12 @@ def main(argv=None) -> int:
                 mine, theirs = (outcome(src, inv, workdirs[name]) for name, src in trees.items())
                 runs += 1
                 for field, a, b in zip(FIELDS, mine, theirs):
-                    if a != b:
+                    deviation = (report_deviation(a, b) if args.atol is not None
+                                 and field in REPORTS else None)
+                    if deviation is not None:
+                        print(f"seed {seed}: qcsim {' '.join(inv)}: {field} deviates by "
+                              f"at most {deviation:.3g}", flush=True)
+                    if not (a == b if deviation is None else deviation <= args.atol):
                         differences += 1
                         print(f"seed {seed}: qcsim {' '.join(inv)}: {field} differs", flush=True)
         print(f"{runs} invocations on each tree, {differences} differences")

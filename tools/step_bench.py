@@ -34,7 +34,13 @@ dense kernel alone: the time of one step through the `simple` backend's
 `KERNEL_BITS` of a 20-qubit vector (the best over the repetitions of the
 mean of 5 steps), and for a 4 x 4 step on qubits 3 and 6 of a 10-qubit
 vector (the best of the mean of 2,000 steps). Only `_backend` and `apply`
-are called, so the section times any commit's kernel the same way.
+are called, so the section times any commit's kernel the same way. Last,
+the density export alone: on the `simple` density backend after the steps
+of `random_circuit(n, 10, 1)`, at 9 and 10 qubits, the best time of
+`export()` and its tracemalloc peak in matrices of 16 x 4^n bytes. Only
+`engines._backend`, `engines._schedule`, `apply` and `export` are called,
+so the section measures any commit's export the same way. perfbench cannot
+show this layer: a 10-qubit density state is about 75 MB of JSON.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ EXPORT_QUBITS = (16, 20)
 SHOTS = {"qubits": 12, "depth": 10, "shots": 1000}  # a measure-all circuit, seed 1
 SERIALIZE = [("wave", 16), ("wave", 17), ("density", 7), ("density", 9)]  # seed 1
 KERNEL_BITS = (0, 2, 5, 7, 8, 10, 15, 19)  # RX targets on a 20-qubit vector
+DENSITY_EXPORT_QUBITS = (9, 10)  # random_circuit(n, 10, 1) on the simple backend
 
 
 def best_time(fn, reps: int) -> float:
@@ -106,6 +113,16 @@ def step_time(qubits: int, op: np.ndarray, targets, steps: int, reps: int) -> fl
         for _ in range(steps):
             backend.apply(op, targets)
     return best_time(apply_steps, reps) / steps
+
+
+def density_backend(qubits: int):
+    """The `simple` density backend after the steps of random_circuit(qubits, 10, 1)."""
+    circuit, config = random_circuit(qubits, 10, 1), RunConfig(representation="density")
+    backend = engines._backend(circuit, config)
+    for ins, op in engines._schedule(circuit, config)[0]:
+        if op is not None:
+            backend.apply(op, ins.targets)
+    return backend
 
 
 def peak(fn) -> int:
@@ -195,6 +212,11 @@ def main(argv=None) -> None:
     op = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)) + 0j)[0]
     best = step_time(10, op, (3, 6), 2000, args.reps)
     print(f"kernel: one 4 x 4 step on qubits 3 and 6 of a 10-qubit vector; best_us\n{best * 1e6:.1f}")
+    print("\ndensity export: qubits,best_s,peak_matrices")
+    for qubits in DENSITY_EXPORT_QUBITS:
+        backend = density_backend(qubits)
+        best = best_time(backend.export, args.reps)
+        print(f"{qubits},{best:.4f},{peak(backend.export) / (16 << 2 * qubits):.2f}")
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
 """Circuit execution: one walk of the measurement-outcome tree over two backends.
 
 This module holds the run config, the memory check, the schedule and its
-fusion, the one instruction loop and the per-shot seeds. The backends it
+fusion, the one instruction loop and the draws. The backends it
 drives live with the arrays they address: the dense backend in `state`,
 the MPS backend in `mps`.
 
 `run` starts every circuit from |0...0>, executes its instructions in
 order, skips gates whose classical condition does not hold, and collapses
-on measurements, sampling each from a PCG64 generator seeded with
-config.seed. Instructions scheduled past ``max_depth`` layers are not
-executed. Every engine returns the same RunResult shape. Noise requires
-the density representation.
+on measurements, sampling measurement j with the j-th draw of numpy's
+`default_rng(config.seed).random()`. Instructions scheduled past
+``max_depth`` layers are not executed. Every engine returns the same
+RunResult shape. Noise requires the density representation.
 
 `_execute` is the one loop that executes instructions. It walks the tree
 of measurement outcomes for a set of shots: once the circuit is fixed, so
@@ -18,9 +18,16 @@ is the state after each string of outcomes (noise channels are steps of
 the schedule too), so each branch that some shot takes is simulated once.
 `run` walks the single path of one shot and records its measurements;
 `run_shots` walks all its shots at once and counts them at the leaves.
-Each shot draws what `run` draws with that shot's seed, the same PCG64
-output bit for bit, from a generator state that `_shot_draws` derives in
-closed form, so the counts equal one `run` per shot exactly.
+Each shot draws what `run` draws with that shot's seed, bit for bit, so
+the counts equal one `run` per shot exactly.
+
+No generator is built and `numpy.random` is never imported: a PCG64
+stream is a 128-bit LCG, so its state after j steps is an affine function
+of its seeding words with coefficients that depend on j alone
+(`_jumps`; Brown, "Random number generation with arbitrary strides",
+1994). `_pcg64_random` computes every draw of every shot from the
+SeedSequence words of its seed (`_seed_words`) in one elementwise pass
+over uint64 limbs, which reproduces numpy's output exactly.
 
 The engine selects the backend the loop drives:
 
@@ -59,6 +66,7 @@ returns counts, and checks each leaf's ``trace()`` instead.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -305,15 +313,16 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     """Execute the circuit on the backend that the config's engine selects.
 
     Instructions run in order, except those scheduled past the depth
-    cut-off; each measurement draws one sample from the run's generator.
+    cut-off; measurement j takes the j-th draw of numpy's
+    `default_rng(config.seed).random()`, computed without numpy.random.
     """
     _check_run(circuit, config)
     backend = _backend(circuit, config)
     steps, stop = _schedule(circuit, config)
     measured = _measurements(steps)
-    draws = np.empty((1, 0))  # no generator is built for a run that draws nothing
-    if measured:
-        draws = np.random.default_rng(config.seed).random((1, measured))
+    draws = np.empty((1, measured))
+    if measured:  # what default_rng(config.seed).random(measured) returns
+        _pcg64_random([np.full(1, w, np.uint32) for w in _uint32_words(config.seed)], draws)
     records = []
     [(leaf, clbits, _)] = _execute(backend, steps, draws, circuit.num_clbits, records)
     return RunResult(leaf.export(), tuple(clbits), tuple(records), stop)
@@ -330,11 +339,10 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
     Keys are bit strings with classical bit 0 rightmost, in the order in
     which shots first give them. Shot i draws what `run` draws with the
     seed `SeedSequence([config.seed, i]).generate_state(1)[0]`, bit for
-    bit, so results are reproducible; `_shot_draws` derives every shot's
-    generator state in closed form, without building a generator per
-    shot. All shots walk one outcome tree: each distinct branch is
-    simulated once. No state is built: each leaf's trace() must be 1
-    within NORM_ATOL.
+    bit, so results are reproducible; `_shot_draws` computes every
+    shot's draws in closed form, without a generator. All shots walk one
+    outcome tree: each distinct branch is simulated once. No state is
+    built: each leaf's trace() must be 1 within NORM_ATOL.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -355,14 +363,15 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-shot seeds
+# seeds and draws
 # ---------------------------------------------------------------------------
 
 # numpy's SeedSequence hash (bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK = 1 << 15  # draws that `_pcg64_random` computes at once
 
 
 def _seed_words(entropy: list, n_words: int) -> list:
@@ -408,6 +417,83 @@ def _uint32_words(value: int) -> list:
     return [value >> 32 * k & _MASK32 for k in range(max(1, -(-value.bit_length() // 32)))]
 
 
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
+    """(a·b) mod 2^128 elementwise, for uint64 arrays of high and low words,
+    as (high, low). The high word of a_lo·b_lo is summed from the products
+    of their 32-bit halves, whose partial sums cannot overflow 64 bits;
+    uint64 products wrap."""
+    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    cross = a0 * b1
+    mid = (a0 * b0 >> 32) + a1 * b0 + (cross & _MASK32)
+    high = a1 * b1 + (cross >> 32) + (mid >> 32) + a_lo * b_hi + a_hi * b_lo
+    return high, a_lo * b_lo
+
+
+def _add128(a, b) -> tuple:
+    """(a + b) mod 2^128 elementwise, for (high, low) pairs of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _limbs(value: int) -> tuple:
+    """A non-negative int below 2^128 as a (high, low) pair of 1 x 1 uint64 arrays."""
+    return tuple(np.full((1, 1), value >> shift & _MASK64, np.uint64) for shift in (64, 0))
+
+
+@functools.cache
+def _jumps(size: int) -> tuple:
+    """PCG64's state after draw c < size (a power of two) as a function of
+    its seeding words s and inc: M^(c+2)·s + (1 + M + ... + M^(c+2))·inc
+    mod 2^128, since seeding sets the state to (inc + s)·M + inc and each
+    draw steps the LCG before its output. Returns the two coefficient
+    columns as (high, low) pairs of size x 1 uint64 arrays, then M^size and
+    1 + M + ... + M^(size-1) as ints. Each size extends the half below it
+    by products of 128-bit limbs, so a table of 2^k draws takes k steps,
+    and the cache holds one table per power of two that a run has
+    needed, built on first use."""
+    m = _PCG64_MULT
+    if size == 1:
+        return _limbs(m * m & _MASK128), _limbs(1 + m + m * m & _MASK128), m, 1
+    p, q, power, total = _jumps(size // 2)
+    step = _limbs(power)
+    p_next, q_next = _mul128(*step, *p), _add128(_limbs(total), _mul128(*step, *q))
+    p, q = ([np.concatenate(pair) for pair in zip(*halves)]
+            for halves in ((p, p_next), (q, q_next)))
+    return tuple(p), tuple(q), power * power & _MASK128, total + power * total & _MASK128
+
+
+def _pcg64_random(entropy: list, out: np.ndarray):
+    """Fill row i of `out` with `default_rng(x).random(out.shape[1])`, bit
+    for bit, where x is the int whose uint32 words, least significant
+    first, are entropy[k][i] (one uint32 array per word, as `_seed_words`
+    takes them).
+
+    The SeedSequence words seed PCG64 (`_jumps`), whose draw c reads the
+    state after c + 1 steps; its XSL-RR output rotr(hi ^ lo, hi >> 58)
+    gives the float (output >> 11)·2^-53. Every draw of every row is one
+    elementwise expression over uint64 limbs, evaluated on a grid of one
+    row a draw and one column a shot, so that numpy's inner loops run
+    along the shots, in chunks of about _CHUNK draws so that its
+    temporaries stay small, and written to `out` transposed.
+    """
+    words = np.stack(_seed_words(entropy, 8), axis=1, dtype="<u4")
+    # generate_state(4, uint64) reads the 8 words as little-endian uint64:
+    # PCG64 is seeded with s = (v0, v1) and t = (v2, v3), high word first,
+    # and inc = 2t + 1
+    s_hi, s_lo, t_hi, t_lo = words.view("<u8").T[:, None]
+    inc_hi, inc_lo = t_hi << 1 | t_lo >> 63, t_lo << 1 | 1
+    measured = out.shape[1]
+    p, q = ((hi[:measured], lo[:measured])
+            for hi, lo in _jumps(1 << (measured - 1).bit_length())[:2])
+    rows = max(1, _CHUNK // measured)
+    for start in range(0, len(out), rows):
+        part = slice(start, start + rows)
+        hi, lo = _add128(_mul128(*p, s_hi[:, part], s_lo[:, part]),
+                         _mul128(*q, inc_hi[:, part], inc_lo[:, part]))
+        xor, rot = hi ^ lo, hi >> 58
+        np.multiply(((xor >> rot) | (xor << (-rot & 63))) >> 11, 2.0 ** -53, out=out[part].T)
+
+
 def _shot_draws(seed: int, shots: range, measured: int) -> np.ndarray:
     """Row j: `default_rng(SeedSequence([seed, i]).generate_state(1)[0])
     .random(measured)` for shot index i = shots[j], bit for bit; `shots`
@@ -416,35 +502,22 @@ def _shot_draws(seed: int, shots: range, measured: int) -> np.ndarray:
     Both SeedSequence stages are hashed for all shots at once
     (`_seed_words`), over each span of shots whose index has the same
     words above the lowest, so the entropy of a span is one uint32 array
-    per word. Each shot's PCG64 (state, inc) follows from the second
-    stage's 8 words by PCG64's seeding arithmetic (srandom: inc = 2t + 1,
-    state = ((inc + s)·M + inc) mod 2^128), and is set on one reused
-    PCG64 before the shot's draws. No generator is built when there is
-    nothing to draw.
+    per word. The first stage's word is each shot's seed, and
+    `_pcg64_random` computes every draw of the span from it in closed
+    form, without a generator. Nothing is hashed when there is nothing to
+    draw.
     """
     draws = np.empty((len(shots), measured))
     if not measured or not shots:
         return draws
-    bits = np.random.PCG64(seed)
-    generator = np.random.Generator(bits)
-    row = 0
+    seed_words, row = _uint32_words(seed), 0
     for high in range(shots.start >> 32, (shots.stop - 1 >> 32) + 1):
         base = high << 32
         low = np.arange(max(shots.start, base) - base, min(shots.stop, base + (1 << 32)) - base,
                         dtype=np.uint32)
-        seed_words, high_words = _uint32_words(seed), _uint32_words(high) if high else []
+        high_words = _uint32_words(high) if high else []
         [first] = _seed_words([np.full(len(low), w, np.uint32) for w in seed_words] + [low]
                               + [np.full(len(low), w, np.uint32) for w in high_words], 1)
-        # generate_state(4, uint64) reads the 8 words as little-endian uint64:
-        # PCG64 is seeded with s = (v0, v1) and t = (v2, v3), high word first
-        words = np.empty((len(low), 8), dtype="<u4")
-        for k, word in enumerate(_seed_words([first], 8)):
-            words[:, k] = word
-        for v0, v1, v2, v3 in words.view("<u8").tolist():
-            inc = (v2 << 65 | v3 << 1 | 1) & _MASK128
-            state = ((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            generator.random(out=draws[row])
-            row += 1
+        _pcg64_random([first], draws[row:row + len(low)])
+        row += len(low)
     return draws

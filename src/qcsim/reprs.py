@@ -31,7 +31,9 @@ _WORDS = np.dtype("<u8")
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # to 10^19 < 2^64
 _BITS = 125  # Ryū's DOUBLE_POW5_BITCOUNT
 _MANTISSA = (1 << 52) - 1
-_SAFE = np.float64(0.1).view(np.uint64)  # a float on the common path
+# what the common path computes in place of a float off it: it needs all
+# 17 digits, so it never keeps the digit-removal loop running
+_SAFE = np.float64(0.30000000000000004).view(np.uint64)
 
 
 def _word(text: str) -> int:

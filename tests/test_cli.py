@@ -503,6 +503,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read noise config: ") and err.count("\n") == 1
 
+    def test_runs_do_not_load_numpy_random(self, bell_path, tmp_path):
+        # measurements draw in closed form, with and without --shots, on
+        # every engine, so numpy.random is never imported
+        script = ("import json, sys\nfrom qcsim import cli\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert cli.main(argv) == 0, argv\n"
+                  "    assert 'numpy.random' not in sys.modules, argv\n")
+        argvs = [["run", bell_path, "--engine", engine, "--repr", repr_, "--seed", "3",
+                  "--out", str(tmp_path / "out.json"), *shots]
+                 for engine, repr_ in (("simple", "wave"), ("depth", "wave"), ("mps", "wave"),
+                                       ("simple", "density"), ("depth", "density"))
+                 for shots in ([], ["--shots", "50"])]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+
 
 def _complex_pairs(array: np.ndarray):
     """The serializer the block writer replaced, kept as its oracle."""

@@ -638,19 +638,41 @@ def test_run_shots_matches_one_run_per_shot_with_noise(engine):
     assert run_shots(circuit, config, 40) == _shots_by_run(circuit, config, 40)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_shot_draws_match_numpy_bit_for_bit(seed):
     # 412 shot indices a seed, 2,060 (seed, i) pairs in all: indices of one
     # uint32 word, and spans across 2^32 and 2^64, where they gain a word
     spans = [range(400), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)]
-    for m in (1, 3, 12, 40):
-        for shots in spans:
-            want = np.array([
-                np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-                .random(m) for i in shots])
-            got = engines._shot_draws(seed, shots, m)
-            assert got.shape == (len(shots), m)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # and spans of more rows than one chunk of draws holds: 5,600 rows of
+    # 12 draws, and 1,500 draws on each side of 2^32
+    chunked = [(12, range(400, 6000)), (1500, range(2**32 - 30, 2**32 + 30))]
+    assert all(len(shots) * m > engines._CHUNK for m, shots in chunked)
+    for m, shots in [(m, shots) for m in (1, 3, 12, 40) for shots in spans] + chunked:
+        want = np.array([
+            np.random.default_rng(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+            .random(m) for i in shots])
+        got = engines._shot_draws(seed, shots, m)
+        assert got.shape == (len(shots), m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("m", [1, 3, 40, 1500])
+def test_run_draws_match_numpy_bit_for_bit(seed, m, monkeypatch):
+    draws, execute = [], engines._execute
+
+    def recording(backend, steps, drawn, *args, **kwargs):
+        draws.append(drawn)
+        return execute(backend, steps, drawn, *args, **kwargs)
+    monkeypatch.setattr(engines, "_execute", recording)
+    run(Circuit(1, 1, [h(0)] + [measure(0, 0)] * m), RunConfig(seed=seed))
+    [got] = draws
+    want = np.random.default_rng(seed).random(m)
+    assert got.shape == (1, m)
+    assert np.array_equal(got[0].view(np.uint64), want.view(np.uint64))
 
 
 def test_run_shots_derives_seeds_without_a_generator_per_shot(monkeypatch):
@@ -670,7 +692,7 @@ def test_run_shots_derives_seeds_without_a_generator_per_shot(monkeypatch):
     for name in ("SeedSequence", "default_rng", "PCG64"):
         counting(name)
     assert run_shots(circuit, config, 300) == want
-    assert len(built) <= 1, built
+    assert built == []
 
 
 def _collapse_by_qr(self, qubit, outcome):

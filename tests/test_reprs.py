@@ -74,6 +74,18 @@ def test_short_decimals_and_dyadic_fractions():
     assert_reprs(np.concatenate(decimals + dyadic))
 
 
+def test_stand_in_is_on_the_common_path_and_needs_17_digits():
+    # a stand-in that needed fewer digits would run the digit-removal loop
+    # longer in every block holding a float off the common path (a zero)
+    bits = np.atleast_1d(reprs._SAFE)
+    value = float(bits.view(np.float64)[0])
+    assert 0 < value < 1 and int(bits[0]) & reprs._MANTISSA
+    digits, _, trailing = reprs._shortest(bits)
+    assert not trailing[0] and len(str(int(digits[0]))) == 17
+    assert repr(value) == f"0.{int(digits[0]):017d}".rstrip("0")
+    assert texts(np.array([value, 0.0]))[0] == [repr(value), "0.0"]
+
+
 def test_state_amplitudes_take_the_array_path():
     rng = np.random.default_rng(5)
     values = rng.normal(size=4096) / 64

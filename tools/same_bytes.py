@@ -13,8 +13,11 @@ end, under each of its noise configs, and on `teleport.qasm` under each
 config without overrides (the overrides name instructions of the 7-qubit
 circuit, past the end of `teleport.qasm`). So does `run teleport.qasm`
 without `--shots` (its report holds measurement records) on every wave
-engine and on density `simple` and `depth`. So do exports whose qubits
-end out of order, which no workload invocation makes: `run` on `depth`,
+engine and on density `simple` and `depth`. So do 50,000 `--shots` of
+`teleport.qasm` on every engine and of `random6.qasm` on `simple` and
+`depth`, whose draws take several chunks, and `run random12.qasm`, whose
+report holds 12 measurement records, on every engine. So do exports whose
+qubits end out of order, which no workload invocation makes: `run` on `depth`,
 wave and density, of `unordered.qasm` (a U3 layer, a CX from the last
 qubit to qubit 0, then a CX ladder and a U3 layer, so that the one group
 holds its qubits in merge order), and `run` on `mps` of `routed.qasm` (a
@@ -60,6 +63,9 @@ import workloads  # noqa: E402
 
 WORKLOADS = ("dense", "mps-shots")
 SEEDS = (1, 2)
+ENGINES = ("simple", "depth", "mps")
+# shots enough that the draws of a span take several chunks (engines._CHUNK)
+MANY_SHOTS = 50_000
 FIELDS = ("exit code", "stdout", "stderr", "--out file")  # what `outcome` returns
 REPORTS = ("stdout", "--out file")  # the fields that can hold a `run` report
 # invocations that exit 2, one or more per subcommand: a bad size, depth
@@ -144,6 +150,12 @@ def invocations(seed: int, inputs: Path) -> list:
                           ("simple", "density"), ("depth", "density")):
         argvs.append(["run", "teleport.qasm", "--engine", engine, "--repr", repr_,
                       "--seed", str(seed), "--out", f"teleport-{engine}-{repr_}.json"])
+    for name, on in (("teleport", ENGINES), ("random6", ("simple", "depth"))):
+        argvs += [["run", f"{name}.qasm", "--engine", engine, "--shots", str(MANY_SHOTS),
+                   "--seed", str(seed), "--out", f"{name}-{engine}-many.json"]
+                  for engine in on]
+    argvs += [["run", "random12.qasm", "--engine", engine, "--seed", str(seed),
+               "--out", f"random12-{engine}.json"] for engine in ENGINES]
     argvs += out_of_order(seed, inputs)
     for i, argv in enumerate(FAILING):
         argvs += [argv, [*argv, "--out", f"failing-{i}.out"]]

@@ -20,7 +20,15 @@ and 20 qubits, unrouted and routed, the best time of the dense export
 exported vector (16 x 2^n). Last, on each engine, the best time of
 1,000 `run_shots` of a 12-qubit `random_circuit` of depth 10 (seed 1)
 with every qubit measured at the end, and the best time of deriving the
-draws of those 1,000 shots alone (`engines._shot_draws`). Last, for
+draws of those 1,000 shots alone (`engines._shot_draws`); then the draws
+alone of 100,000 shots of 12 measurements and of 3 shots of 1,500, the
+best time of 100,000 `run_shots` on each engine of a teleportation
+circuit (3 measurements, two conditioned gates) and of a 6-qubit
+`random_circuit` of depth 10 (seed 1) measured at the end, and of one
+`run` (seed 1) of a 2-qubit circuit with 1,500 measurements, at which
+most of its time is the draws. Only `run`, `run_shots` and
+`engines._shot_draws` are called, so the section times any commit's
+shots the same way. Last, for
 random state vectors of 2^16 and 2^17 entries and random density
 matrices of 2^7 x 2^7 and 2^9 x 2^9 (seed 1), the best time and the
 tracemalloc peak of a `run` report's JSON text joined into one string
@@ -58,7 +66,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qcsim import cli, engines  # noqa: E402
 from qcsim.bench import bench_depth_sweep  # noqa: E402
-from qcsim.circuit import Circuit, instruction_layers, measure, random_circuit  # noqa: E402
+from qcsim.circuit import (Circuit, gate_app, instruction_layers, measure,  # noqa: E402
+                           random_circuit)
 from qcsim.engines import RunConfig, run, run_shots  # noqa: E402
 from qcsim.gates import make_gate  # noqa: E402
 from qcsim.mps import MPSState  # noqa: E402
@@ -73,6 +82,8 @@ CRITERION_6 = {"qubits": 10, "depths": [5, 10, 15, 20, 25, 30], "seed": 12}
 PARSE_DEPTHS = (50, 400)  # of 20-qubit random circuits, seed 1
 EXPORT_QUBITS = (16, 20)
 SHOTS = {"qubits": 12, "depth": 10, "shots": 1000}  # a measure-all circuit, seed 1
+MANY_SHOTS = 100_000  # of teleport and of a 6-qubit measure-all circuit
+DRAWS = [(100_000, 12), (3, 1500)]  # (shots, measurements)
 SERIALIZE = [("wave", 16), ("wave", 17), ("density", 7), ("density", 9)]  # seed 1
 KERNEL_BITS = (0, 2, 5, 7, 8, 10, 15, 19)  # RX targets on a 20-qubit vector
 DENSITY_EXPORT_QUBITS = (9, 10)  # random_circuit(n, 10, 1) on the simple backend
@@ -102,6 +113,28 @@ def export_chain(qubits: int, routed: bool) -> MPSState:
     for q in range(qubits // 4 if routed else 0):
         chain.apply_2q(cx, q, qubits - 1 - q)
     return chain
+
+
+def measured_all(circuit: Circuit) -> Circuit:
+    n = circuit.num_qubits
+    return Circuit(n, n, list(circuit.instructions) + [measure(q, q) for q in range(n)])
+
+
+def shot_circuits() -> dict:
+    """Teleportation of RY(0.8)|0> with conditioned corrections, and a
+    2-qubit circuit of 750 rounds of RY, CX, two measurements and a
+    conditioned X: 1,500 measurements."""
+    def g(name, *targets, params=(), condition=None):
+        return gate_app(make_gate(name, params), targets, condition=condition)
+    teleport = Circuit(3, 3, [g("RY", 0, params=[0.8]), g("H", 1), g("CX", 1, 2), g("CX", 0, 1),
+                              g("H", 0), measure(0, 0), measure(1, 1),
+                              g("X", 2, condition=(1, 1)), g("Z", 2, condition=(0, 1)),
+                              measure(2, 2)])
+    long = [g("H", 0)]
+    for k in range(750):
+        long += [g("RY", 1, params=[0.3 + k / 1000]), g("CX", 0, 1), measure(0, 0),
+                 measure(1, 1), g("X", 0, condition=(1, 1))]
+    return {"teleport": teleport, "long": Circuit(2, 2, long)}
 
 
 def step_time(qubits: int, op: np.ndarray, targets, steps: int, reps: int) -> float:
@@ -190,14 +223,27 @@ def main(argv=None) -> None:
             label = "routed" if routed else "unrouted"
             print(f"{qubits},{label},{max(chain.bond_dims())},{best:.4f},{peak_bytes:.2f}")
     n, shots = SHOTS["qubits"], SHOTS["shots"]
-    body = random_circuit(n, SHOTS["depth"], 1).instructions
-    circuit = Circuit(n, n, list(body) + [measure(q, q) for q in range(n)])
+    circuit = measured_all(random_circuit(n, SHOTS["depth"], 1))
     print(f"\nshots: {shots} shots, {n} qubits measured at the end; engine,best_s")
     for engine in ("simple", "depth", "mps"):
         config = RunConfig(engine=engine, seed=1)
         print(f"{engine},{best_time(lambda: run_shots(circuit, config, shots), args.reps):.4f}")
     best = best_time(lambda: engines._shot_draws(1, range(shots), n), args.reps)
     print(f"seeds only,{best:.4f}")
+    print("\ndraws alone: shots,measurements,best_s")
+    for shots, measured in DRAWS:
+        best = best_time(lambda: engines._shot_draws(1, range(shots), measured), args.reps)
+        print(f"{shots},{measured},{best:.4f}")
+    circuits = shot_circuits()
+    circuits["measured6"] = measured_all(random_circuit(6, 10, 1))
+    print(f"\nshots: {MANY_SHOTS} shots; circuit,engine,best_s")
+    for name in ("teleport", "measured6"):
+        for engine in ("simple", "depth", "mps"):
+            config = RunConfig(engine=engine, seed=1)
+            best = best_time(lambda: run_shots(circuits[name], config, MANY_SHOTS), args.reps)
+            print(f"{name},{engine},{best:.4f}")
+    best = best_time(lambda: run(circuits["long"], RunConfig(seed=1)), args.reps)
+    print(f"run of 1,500 measurements: best_s\n{best:.4f}")
     print("\nserialize: state,qubits,entries,best_s,joined_peak_mb,streamed_peak_mb")
     for kind, qubits in SERIALIZE:
         state = random_state(kind, qubits)

@@ -9,20 +9,23 @@ Noise may also be attached globally and is overridden per instruction.
 The random-circuit generator alternates layers of independently sampled
 single-qubit gates with layers of nearest-neighbor CX gates whose pairing
 shifts between (0-1, 2-3, ...) and (1-2, 3-4, ...) so every adjacent pair
-gets entangled. Generation is reproducible: gate choices are drawn from
-numpy's default PCG64 generator seeded with the given seed.
+gets entangled. Generation is reproducible: each gate is
+`default_rng(seed).integers(9)`'s pick from the pool, and each angle its
+`uniform(0, 2*pi)`, in order, bit for bit. `pcg64.Stream` computes these
+draws in closed form, so no generator is built and `numpy.random` is
+never imported.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .gates import GATE_SIGNATURES, Gate, make_gate
 from .noise import NoiseSpec, check_slots, json_object
+from .pcg64 import Stream
 
 GATE_APP = "gate"
 MEASURE = "measure"
@@ -181,10 +184,10 @@ def depth(circuit: Circuit) -> int:
     return max(layers) if layers else 0
 
 
-def _random_1q_gate(rng: np.random.Generator) -> Gate:
+def _random_1q_gate(rng: Stream) -> Gate:
     name = RANDOM_1Q_POOL[rng.integers(len(RANDOM_1Q_POOL))]
     nparams = GATE_SIGNATURES[name][1]
-    return make_gate(name, [rng.uniform(0.0, 2.0 * np.pi) for _ in range(nparams)])
+    return make_gate(name, [rng.uniform(0.0, 2.0 * math.pi) for _ in range(nparams)])
 
 
 def random_circuit(num_qubits: int, target_depth: int, seed: int) -> Circuit:
@@ -193,7 +196,7 @@ def random_circuit(num_qubits: int, target_depth: int, seed: int) -> Circuit:
         raise ValueError("random_circuit needs at least 2 qubits")
     if target_depth < 1:
         raise ValueError("depth must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     instructions = []
     cx = make_gate("CX")
     qubit_layer = [0] * num_qubits  # as instruction_layers schedules them

@@ -40,7 +40,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import reprs
-from .bench import bench_depth_sweep, fidelity_csv, fidelity_sweep, timing_csv
 from .circuit import GATE_APP, Circuit, as_index, circuit_from_json, random_circuit
 from .engines import ENGINES, REPRESENTATIONS, RunConfig, run, run_shots
 from .mps import BondOverflowError
@@ -272,6 +271,8 @@ def _cmd_random(args) -> io.StringIO:
 
 
 def _cmd_bench(args) -> io.StringIO:
+    from .bench import bench_depth_sweep, timing_csv
+
     depths = [int(part) for part in args.depths.split(",") if part != ""]
     points = bench_depth_sweep(
         args.qubits, depths, args.engine, repetitions=args.reps, seed=args.seed
@@ -279,7 +280,17 @@ def _cmd_bench(args) -> io.StringIO:
     return io.StringIO(timing_csv(points))
 
 
+def fidelity_sweep(*args, **kwargs):
+    """`bench.fidelity_sweep`, at the name perfbench's traced runs wrap.
+    Only the sweeps import `bench`, and with it `statistics`."""
+    from .bench import fidelity_sweep
+
+    return fidelity_sweep(*args, **kwargs)
+
+
 def _cmd_noise_sweep(args) -> io.StringIO:
+    from .bench import fidelity_csv
+
     epsilons = [float(e) for e in args.epsilons.split(",") if e != ""]
     points = fidelity_sweep(
         args.qubits, args.depth, args.noise, epsilons, seed=args.seed

@@ -21,13 +21,10 @@ the schedule too), so each branch that some shot takes is simulated once.
 Each shot draws what `run` draws with that shot's seed, bit for bit, so
 the counts equal one `run` per shot exactly.
 
-No generator is built and `numpy.random` is never imported: a PCG64
-stream is a 128-bit LCG, so its state after j steps is an affine function
-of its seeding words with coefficients that depend on j alone
-(`_jumps`; Brown, "Random number generation with arbitrary strides",
-1994). `_pcg64_random` computes every draw of every shot from the
-SeedSequence words of its seed (`_seed_words`) in one elementwise pass
-over uint64 limbs, which reproduces numpy's output exactly.
+No generator is built and `numpy.random` is never imported:
+`pcg64._pcg64_random` computes the draws of PCG64 streams in closed form,
+bit for bit, and `_shot_draws` feeds it the SeedSequence words of each
+shot's seed (`pcg64._seed_words`) a chunk of shots at a time.
 
 The engine selects the backend the loop drives:
 
@@ -66,7 +63,6 @@ returns counts, and checks each leaf's ``trace()`` instead.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -76,6 +72,7 @@ import numpy as np
 from .circuit import MEASURE, Circuit, as_index, instruction_layers
 from .gates import step_operator
 from .mps import MPSState
+from .pcg64 import _pcg64_random, _seed_words, _uint32_words
 from .state import NORM_ATOL, DenseGroups, MeasurementRecord, apply_local, sample_outcomes
 
 WAVE, DENSITY = REPRESENTATIONS = ("wave", "density")
@@ -366,132 +363,7 @@ def run_shots(circuit: Circuit, config: RunConfig, shots: int) -> dict:
 # seeds and draws
 # ---------------------------------------------------------------------------
 
-# numpy's SeedSequence hash (bit_generator.pyx) and PCG64's 128-bit LCG multiplier
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_CHUNK = 1 << 15  # draws that `_pcg64_random` computes at once
-
-
-def _seed_words(entropy: list, n_words: int) -> list:
-    """`SeedSequence(entropy).generate_state(n_words)` for many sequences at
-    once: entropy[k] holds word k of every sequence, as a uint32 array, and
-    word k of the result is returned likewise. The hash constants evolve
-    the same way for every sequence of the same length, so each step is
-    one array operation; uint32 arrays wrap as the C code does."""
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * _MULT_A & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h, words = _INIT_B, []
-    for k in range(n_words):
-        value = pool[k % 4] ^ np.uint32(h)
-        h = h * _MULT_B & _MASK32
-        value = value * np.uint32(h)
-        words.append(value ^ (value >> 16))
-    return words
-
-
-def _uint32_words(value: int) -> list:
-    """The uint32 words of a non-negative int, least significant first, as
-    SeedSequence splits each entry of its entropy (0 is one word)."""
-    return [value >> 32 * k & _MASK32 for k in range(max(1, -(-value.bit_length() // 32)))]
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple:
-    """(a·b) mod 2^128 elementwise, for uint64 arrays of high and low words,
-    as (high, low). The high word of a_lo·b_lo is summed from the products
-    of their 32-bit halves, whose partial sums cannot overflow 64 bits;
-    uint64 products wrap."""
-    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
-    cross = a0 * b1
-    mid = (a0 * b0 >> 32) + a1 * b0 + (cross & _MASK32)
-    high = a1 * b1 + (cross >> 32) + (mid >> 32) + a_lo * b_hi + a_hi * b_lo
-    return high, a_lo * b_lo
-
-
-def _add128(a, b) -> tuple:
-    """(a + b) mod 2^128 elementwise, for (high, low) pairs of uint64 arrays."""
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < b[1]), low
-
-
-def _limbs(value: int) -> tuple:
-    """A non-negative int below 2^128 as a (high, low) pair of 1 x 1 uint64 arrays."""
-    return tuple(np.full((1, 1), value >> shift & _MASK64, np.uint64) for shift in (64, 0))
-
-
-@functools.cache
-def _jumps(size: int) -> tuple:
-    """PCG64's state after draw c < size (a power of two) as a function of
-    its seeding words s and inc: M^(c+2)·s + (1 + M + ... + M^(c+2))·inc
-    mod 2^128, since seeding sets the state to (inc + s)·M + inc and each
-    draw steps the LCG before its output. Returns the two coefficient
-    columns as (high, low) pairs of size x 1 uint64 arrays, then M^size and
-    1 + M + ... + M^(size-1) as ints. Each size extends the half below it
-    by products of 128-bit limbs, so a table of 2^k draws takes k steps,
-    and the cache holds one table per power of two that a run has
-    needed, built on first use."""
-    m = _PCG64_MULT
-    if size == 1:
-        return _limbs(m * m & _MASK128), _limbs(1 + m + m * m & _MASK128), m, 1
-    p, q, power, total = _jumps(size // 2)
-    step = _limbs(power)
-    p_next, q_next = _mul128(*step, *p), _add128(_limbs(total), _mul128(*step, *q))
-    p, q = ([np.concatenate(pair) for pair in zip(*halves)]
-            for halves in ((p, p_next), (q, q_next)))
-    return tuple(p), tuple(q), power * power & _MASK128, total + power * total & _MASK128
-
-
-def _pcg64_random(entropy: list, out: np.ndarray):
-    """Fill row i of `out` with `default_rng(x).random(out.shape[1])`, bit
-    for bit, where x is the int whose uint32 words, least significant
-    first, are entropy[k][i] (one uint32 array per word, as `_seed_words`
-    takes them).
-
-    The SeedSequence words seed PCG64 (`_jumps`), whose draw c reads the
-    state after c + 1 steps; its XSL-RR output rotr(hi ^ lo, hi >> 58)
-    gives the float (output >> 11)·2^-53. Every draw of every row is one
-    elementwise expression over uint64 limbs, evaluated on a grid of one
-    row a draw and one column a shot, so that numpy's inner loops run
-    along the shots, in chunks of about _CHUNK draws so that its
-    temporaries stay small, and written to `out` transposed.
-    """
-    words = np.stack(_seed_words(entropy, 8), axis=1, dtype="<u4")
-    # generate_state(4, uint64) reads the 8 words as little-endian uint64:
-    # PCG64 is seeded with s = (v0, v1) and t = (v2, v3), high word first,
-    # and inc = 2t + 1
-    s_hi, s_lo, t_hi, t_lo = words.view("<u8").T[:, None]
-    inc_hi, inc_lo = t_hi << 1 | t_lo >> 63, t_lo << 1 | 1
-    measured = out.shape[1]
-    p, q = ((hi[:measured], lo[:measured])
-            for hi, lo in _jumps(1 << (measured - 1).bit_length())[:2])
-    rows = max(1, _CHUNK // measured)
-    for start in range(0, len(out), rows):
-        part = slice(start, start + rows)
-        hi, lo = _add128(_mul128(*p, s_hi[:, part], s_lo[:, part]),
-                         _mul128(*q, inc_hi[:, part], inc_lo[:, part]))
-        xor, rot = hi ^ lo, hi >> 58
-        np.multiply(((xor >> rot) | (xor << (-rot & 63))) >> 11, 2.0 ** -53, out=out[part].T)
+_CHUNK = 1 << 15  # draws that `_shot_draws` computes at once
 
 
 def _shot_draws(seed: int, shots: range, measured: int) -> np.ndarray:
@@ -499,25 +371,23 @@ def _shot_draws(seed: int, shots: range, measured: int) -> np.ndarray:
     .random(measured)` for shot index i = shots[j], bit for bit; `shots`
     is a range with step 1.
 
-    Both SeedSequence stages are hashed for all shots at once
-    (`_seed_words`), over each span of shots whose index has the same
-    words above the lowest, so the entropy of a span is one uint32 array
+    Both SeedSequence stages are hashed (`_seed_words`) a chunk of shots
+    at a time: about _CHUNK draws' worth, whose indices have the same
+    words above the lowest, so the entropy of a chunk is one uint32 array
     per word. The first stage's word is each shot's seed, and
-    `_pcg64_random` computes every draw of the span from it in closed
-    form, without a generator. Nothing is hashed when there is nothing to
-    draw.
+    `_pcg64_random` computes every draw of the chunk from it in closed
+    form, without a generator. So the draws hold `draws` and one chunk's
+    arrays. Nothing is hashed when there is nothing to draw.
     """
     draws = np.empty((len(shots), measured))
-    if not measured or not shots:
+    if not measured:
         return draws
-    seed_words, row = _uint32_words(seed), 0
-    for high in range(shots.start >> 32, (shots.stop - 1 >> 32) + 1):
-        base = high << 32
-        low = np.arange(max(shots.start, base) - base, min(shots.stop, base + (1 << 32)) - base,
-                        dtype=np.uint32)
-        high_words = _uint32_words(high) if high else []
-        [first] = _seed_words([np.full(len(low), w, np.uint32) for w in seed_words] + [low]
-                              + [np.full(len(low), w, np.uint32) for w in high_words], 1)
-        _pcg64_random([first], draws[row:row + len(low)])
-        row += len(low)
+    seed_words, rows, row = _uint32_words(seed), max(1, _CHUNK // measured), 0
+    while row < len(shots):
+        words = _uint32_words(shots[row])  # of the chunk's first index
+        stop = min(len(shots), row + rows, row + (1 << 32) - words[0])
+        entropy = [np.full(stop - row, w, np.uint32) for w in seed_words + words]
+        entropy[len(seed_words)] += np.arange(stop - row, dtype=np.uint32)
+        _pcg64_random(_seed_words(entropy, 1), draws[row:stop])
+        row = stop
     return draws

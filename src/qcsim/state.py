@@ -60,7 +60,8 @@ class DensityMatrix:
     """Mixed state rho: Hermitian, positive semidefinite, trace one.
 
     A matrix Hermitian within NORM_ATOL is stored as its Hermitian part,
-    (rho + rho^H) / 2, and an exactly Hermitian one as it is.
+    (rho + rho^H) / 2, and an exactly Hermitian one as it is. A NaN or
+    infinite entry fails the Hermiticity check, whose error then names it.
     """
 
     num_qubits: int
@@ -73,8 +74,10 @@ class DensityMatrix:
         d = 2**self.num_qubits
         if mat.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got shape {mat.shape}")
-        if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:
-            raise ValueError("density matrix is not Hermitian")
+        if not np.abs(mat - mat.conj().T).max() <= NORM_ATOL:  # a NaN or inf fails too
+            bad = np.argwhere(~np.isfinite(mat))
+            where = f": entry ({bad[0][0]}, {bad[0][1]}) is not finite" if len(bad) else ""
+            raise ValueError(f"density matrix is not Hermitian{where}")
         mat = (mat + mat.conj().T) / 2
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= NORM_ATOL:

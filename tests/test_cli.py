@@ -505,18 +505,27 @@ class TestRun:
 
     def test_runs_do_not_load_numpy_random(self, bell_path, tmp_path):
         # measurements draw in closed form, with and without --shots, on
-        # every engine, so numpy.random is never imported
+        # every engine, and so do random circuits, so no subcommand imports
+        # numpy.random; `run` and `random` do not import bench either
         script = ("import json, sys\nfrom qcsim import cli\n"
-                  "for argv in json.loads(sys.argv[1]):\n"
+                  "for argv, unloaded in json.loads(sys.argv[1]):\n"
                   "    assert cli.main(argv) == 0, argv\n"
-                  "    assert 'numpy.random' not in sys.modules, argv\n")
+                  "    for name in unloaded:\n"
+                  "        assert name not in sys.modules, (argv, name)\n")
         argvs = [["run", bell_path, "--engine", engine, "--repr", repr_, "--seed", "3",
                   "--out", str(tmp_path / "out.json"), *shots]
                  for engine, repr_ in (("simple", "wave"), ("depth", "wave"), ("mps", "wave"),
                                        ("simple", "density"), ("depth", "density"))
                  for shots in ([], ["--shots", "50"])]
+        argvs.append(["random", "--qubits", "3", "--depth", "4", "--seed", "5"])
+        runs = [(argv, ["numpy.random", "qcsim.bench"]) for argv in argvs]
+        sweeps = [["bench", "--engine", "simple", "--qubits", "2", "--depths", "2,3",
+                   "--reps", "1"],
+                  ["noise-sweep", "--qubits", "2", "--depth", "3", "--epsilons", "0.1,0.2"]]
+        runs += [([*argv, "--out", str(tmp_path / "out.csv")], ["numpy.random"])
+                 for argv in sweeps]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr.decode()
 

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import tracemalloc
 import weakref
@@ -23,6 +24,7 @@ from qcsim.engines import ConfigError, RunConfig, run, run_shots
 from qcsim.gates import make_gate, step_operator
 from qcsim.mps import BondOverflowError, MPSState
 from qcsim.noise import NoiseSpec
+from qcsim.pcg64 import Stream
 from qcsim.state import NORM_ATOL, DensityMatrix, DenseGroups, PureState, fidelity
 
 
@@ -673,6 +675,63 @@ def test_run_draws_match_numpy_bit_for_bit(seed, m, monkeypatch):
     want = np.random.default_rng(seed).random(m)
     assert got.shape == (1, m)
     assert np.array_equal(got[0].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 3, 12])
+def test_shot_draws_hold_what_run_shots_counts(m):
+    """The draws of 100,000 shots hold the 8·shots·(m + 1) bytes that
+    `run_shots` counts for the draws and the shot indices, with a slack of
+    5%, plus one chunk's arrays: an allowance of 128 bytes for each of the
+    _CHUNK draws that a chunk computes."""
+    shots = 100_000
+    engines._shot_draws(1, range(10), m)  # the cached jump table stays out of the peak
+    tracemalloc.start()
+    try:
+        engines._shot_draws(1, range(shots), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * shots * (m + 1) * 1.05 + 128 * engines._CHUNK
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_matches_numpy_bit_for_bit(seed):
+    # 3,000 interleaved draws take about 2,100 outputs, past the blocks of
+    # 64, 64, 128, 256, 512 and 1,024 outputs, and a uniform draw often
+    # comes while the high half of an output waits for the next integer
+    pattern = random.Random(seed).choices((True, False), weights=(3, 2), k=3000)
+    assert pattern.count(True) / 2 + pattern.count(False) > 2048
+    want, got = np.random.default_rng(seed), Stream(seed)
+    for integer in pattern:
+        if integer:
+            a, b = want.integers(9), got.integers(9)
+            assert type(b) is int and a == b
+        else:
+            a, b = want.uniform(0.0, 2.0 * np.pi), got.uniform(0.0, 2.0 * math.pi)
+            assert type(b) is float and a.hex() == b.hex()
+
+
+def test_stream_integers_on_planted_draws():
+    """Lemire's rejection on planted 32-bit draws x, for integers(9): x·9
+    is redrawn while its low word is below 2^32 mod 9 = 4."""
+    inverse = pow(9, -1, 2**32)
+    low3, low4 = 3 * inverse % 2**32, 4 * inverse % 2**32  # x·9 has low word 3, 4
+    stream = Stream(0)
+    stream._outputs = iter([low4 << 32 | low3, 2**31 << 32 | 0,
+                            3 * 2**30 << 32 | 2**31, 1 << 63])
+    assert stream.integers(9) == low4 * 9 >> 32 == 8  # low3 redrawn, low4 kept
+    assert stream.integers(9) == 4  # x = 0 redrawn, then 9·2^31 >> 32
+    assert stream.integers(9) == 4  # the low half, 2^31, of the third output
+    assert stream.uniform(0.0, 2.0 * math.pi) == math.pi  # all of the fourth
+    assert stream.integers(9) == 6  # the kept high half: 27·2^30 >> 32
+
+
+@pytest.mark.parametrize("seed", [-1, -2**64])
+def test_stream_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        Stream(seed)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(seed)
 
 
 def test_run_shots_derives_seeds_without_a_generator_per_shot(monkeypatch):

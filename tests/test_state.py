@@ -90,6 +90,16 @@ class TestInvariants:
             with pytest.raises(ValueError, match="not Hermitian"):
                 DensityMatrix(1, mat)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_names_a_non_finite_entry(self, entry, value):
+        mat = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        mat[entry] = value
+        message = f"density matrix is not Hermitian: entry {entry} is not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DensityMatrix(1, mat)
+
     def test_rejects_wrong_trace(self):
         for diag in ([1.0, 1.0], [np.nan, 0.0]):
             with pytest.raises(ValueError):

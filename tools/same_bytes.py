@@ -27,8 +27,11 @@ drawn at that seed. So do one failing invocation of each
 subcommand (`FAILING`), with and without `--out`; `run` on each program
 of `MALFORMED`, a corpus of malformed QASM with one program per message
 of the parser's errors (lex, syntax and semantic), at the first seed only,
-as the corpus does not depend on it; and the `--help` text of `qcsim` and
-of each subcommand.
+as the corpus does not depend on it; `random` at each width of
+`RANDOM_WIDTHS`, depth of `RANDOM_DEPTHS` and seed of `RANDOM_SEEDS`, and
+`noise-sweep` of each kind of `NOISE_KINDS` at the seed 2^32 + 5, which
+draw their circuits with their own seeds, so also at the first seed
+only; and the `--help` text of `qcsim` and of each subcommand.
 For each invocation the exit code, stdout, stderr and the `--out` file
 (its bytes, or that it was not written) are compared. Each difference is
 printed, then the count; the status is 1 if there is any difference, else 0.
@@ -113,6 +116,11 @@ MALFORMED = {
     "semantic-broadcast": _HEADER + "qreg r[3];\ncx q,r;\n",
     "semantic-distinct": _HEADER + "cx q[1],q[1];\n",
 }
+# the random circuits (`random`, and `noise-sweep` at the seed 2^32 + 5):
+# seeds of one, two and three uint32 words
+RANDOM_WIDTHS, RANDOM_DEPTHS = (2, 3, 7, 16, 20), (1, 15, 40)
+RANDOM_SEEDS = (0, 1, 2**32 + 5, 2**64 + 3)
+NOISE_KINDS = ("dephasing", "depolarizing", "amplitude_damping")
 # the widths of the circuits whose exports reorder qubits (`out_of_order`)
 UNORDERED_QUBITS, ROUTED_QUBITS = 5, 8
 # one fresh interpreter per invocation: qcsim imported from the tree given
@@ -162,6 +170,11 @@ def invocations(seed: int, inputs: Path) -> list:
     for name, source in MALFORMED.items() if seed == SEEDS[0] else ():
         (inputs / f"malformed-{name}.qasm").write_text(source, encoding="utf-8")
         argvs.append(["run", f"malformed-{name}.qasm"])
+    if seed == SEEDS[0]:
+        argvs += [["random", "--qubits", str(n), "--depth", str(d), "--seed", str(s)]
+                  for n in RANDOM_WIDTHS for d in RANDOM_DEPTHS for s in RANDOM_SEEDS]
+        argvs += [["noise-sweep", "--noise", kind, "--seed", str(2**32 + 5)]
+                  for kind in NOISE_KINDS]
     return argvs + [["--help"]] + [[command, "--help"] for command in
                                    ("run", "random", "bench", "noise-sweep")]
 
